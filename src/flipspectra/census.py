@@ -77,10 +77,16 @@ def pentagon_count_vertex_formula(t: Triangulation) -> int:
     return sum(d * (d - 1) // 2 for d in dual_tree(t).degrees)
 
 
-def pentagon_count_vertex_oracle(g: Graph, v: int, limit: int | None = None) -> int:
-    """Exact 5-cycle count through vertex v by simple-path search."""
+def pentagon_count_vertex_oracle(
+    g: Graph, v: int, limit: int | None = None, adj: list[set[int]] | None = None
+) -> int:
+    """Exact 5-cycle count through vertex v by simple-path search.
+
+    ``adj`` may pass in ``g.adjacency_sets()`` when counting many vertices.
+    """
     _check_census_size(g, limit)
-    adj = g.adjacency_sets()
+    if adj is None:
+        adj = g.adjacency_sets()
     count = 0
     for a in adj[v]:
         for b in adj[a]:
@@ -130,12 +136,18 @@ def pentagon_count_edge(t1: Triangulation, t2: Triangulation) -> int:
     return sum(1 for s in sides if not is_polygon_side(n, s))
 
 
-def pentagon_count_edge_oracle(g: Graph, u: int, v: int, limit: int | None = None) -> int:
-    """Exact 5-cycle count through edge uv by simple-path search."""
+def pentagon_count_edge_oracle(
+    g: Graph, u: int, v: int, limit: int | None = None, adj: list[set[int]] | None = None
+) -> int:
+    """Exact 5-cycle count through edge uv by simple-path search.
+
+    ``adj`` may pass in ``g.adjacency_sets()`` when counting many edges.
+    """
     _check_census_size(g, limit)
     if not g.has_edge(u, v):
         raise InvalidInputError(f"({u},{v}) is not an edge")
-    adj = g.adjacency_sets()
+    if adj is None:
+        adj = g.adjacency_sets()
     count = 0
     for x in adj[v]:
         if x == u:
@@ -149,10 +161,16 @@ def pentagon_count_edge_oracle(g: Graph, u: int, v: int, limit: int | None = Non
     return count
 
 
-def count_pentagons_total(g: Graph, limit: int | None = None) -> int:
-    """Number of distinct 5-cycles in g, by rooted simple-path enumeration."""
+def count_pentagons_total(
+    g: Graph, limit: int | None = None, adj: list[set[int]] | None = None
+) -> int:
+    """Number of distinct 5-cycles in g, by rooted simple-path enumeration.
+
+    ``adj`` may pass in a precomputed ``g.adjacency_sets()``.
+    """
     _check_census_size(g, limit)
-    adj = g.adjacency_sets()
+    if adj is None:
+        adj = g.adjacency_sets()
     total = 0
     for r in range(g.vertex_count):
         # only cycles whose minimum vertex is r
@@ -296,8 +314,13 @@ def pentagon_census(n: int, oracle: bool = False, limit: int | None = None) -> C
     per_edge = {(u, v): pentagon_count_edge(ts[u], ts[v]) for u, v in g.edges()}
     o_vertex = o_edge = None
     if oracle:
-        o_vertex = tuple(pentagon_count_vertex_oracle(g, v, limit) for v in range(len(ts)))
-        o_edge = {(u, v): pentagon_count_edge_oracle(g, u, v, limit) for u, v in g.edges()}
+        adj = g.adjacency_sets()
+        o_vertex = tuple(
+            pentagon_count_vertex_oracle(g, v, limit, adj) for v in range(len(ts))
+        )
+        o_edge = {
+            (u, v): pentagon_count_edge_oracle(g, u, v, limit, adj) for u, v in g.edges()
+        }
     return CensusReport(n, "pentagon", per_vertex, per_edge, o_vertex, o_edge)
 
 

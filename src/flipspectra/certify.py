@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bounds, census, spectra
+from .errors import InvalidInputError
 from .flipgraph import (
     box_product,
     build_associahedron,
@@ -56,11 +57,12 @@ def _claim_structure(n_max: int) -> ClaimResult:
             bad.append(f"n={n}: edge count")
         if n <= 10 and contains_triangle(g):
             bad.append(f"n={n}: triangle found")
-    return ClaimResult(
-        "flip-graph-structure",
-        not bad,
-        "; ".join(bad) if bad else f"regular, connected, triangle-free up to n={min(n_max, 12)}",
-    )
+    top = min(n_max, 12)
+    if top <= 10:
+        scope = f"regular, connected, triangle-free up to n={top}"
+    else:
+        scope = f"regular, connected up to n={top}; triangle-free up to n=10"
+    return ClaimResult("flip-graph-structure", not bad, "; ".join(bad) if bad else scope)
 
 
 def _claim_pentagon_census(n_max: int) -> ClaimResult:
@@ -206,7 +208,7 @@ def _claim_limit_bracket(lam_min: dict[int, float]) -> ClaimResult:
 def run_certification(n_max: int, seed: int = 0) -> list[ClaimResult]:
     """Run every claim up to n_max; heavier census/slice claims self-cap."""
     if n_max < 4:
-        raise ValueError("certification needs n_max >= 4")
+        raise InvalidInputError("certification needs n_max >= 4")
     results = [
         _claim_structure(n_max),
         _claim_pentagon_census(n_max),

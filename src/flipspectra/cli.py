@@ -66,6 +66,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if not args.tol > 0:  # also rejects NaN
+        raise InvalidInputError(f"--tol must be positive, got {args.tol}")
     g = build_associahedron(args.n, args.max_n)
     t0 = time.perf_counter()
     result = {

@@ -1,18 +1,22 @@
 """Graphs over triangulations and friends.
 
 Storage is flat compressed adjacency (offsets + sorted neighbor array),
-which keeps matrix-vector products cache friendly.  Besides the flip graph
-itself the module builds box products, induced subgraphs, diagonal slices,
-and provides a refinement-plus-backtracking isomorphism test for the small
-graphs used in certification.
+which keeps matrix-vector products cache friendly.  The flip graph is built
+from an array encoding of the triangulations, one row of diagonal ids each,
+in one vectorised flip pass.  Besides the flip graph itself the module
+builds box products, induced subgraphs, diagonal slices, and provides a
+refinement-plus-backtracking isomorphism test for the small graphs used in
+certification.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -70,9 +74,9 @@ class Graph:
         return [set(map(int, self.neighbors_of(u))) for u in range(self.vertex_count)]
 
     def dense_adjacency(self) -> np.ndarray:
-        a = np.zeros((self.vertex_count, self.vertex_count))
-        for u in range(self.vertex_count):
-            a[u, self.neighbors_of(u)] = 1.0
+        nv = self.vertex_count
+        a = np.zeros((nv, nv))
+        a[np.repeat(np.arange(nv), self.degrees()), self.neighbors] = 1.0
         return a
 
 
@@ -110,18 +114,98 @@ def from_edges(
     return Graph(offsets, nbrs, labels, uniform)
 
 
+def _diagonals(n: int) -> list[tri.Diagonal]:
+    """Diagonals of the n-gon in lexicographic order; a diagonal's id is its index."""
+    return [(i, j) for i in range(1, n - 1) for j in range(i + 2, n + 1) if (i, j) != (1, n)]
+
+
+def _id_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ends, lookup, binom) for the diagonal ids of the n-gon.
+
+    ends[d] holds the 0-based endpoints of diagonal d, lookup[i, j] the id
+    of the diagonal with 0-based endpoints i < j, and binom[d, m] is
+    C(D-1-d, m) for the D diagonals and m = 0..n-3.
+    """
+    diags = _diagonals(n)
+    ends = np.array(diags, dtype=np.intp).reshape(-1, 2) - 1
+    lookup = np.zeros((n, n), dtype=np.uint8)
+    lookup[ends[:, 0], ends[:, 1]] = np.arange(len(diags))
+    binom = np.array(
+        [[math.comb(len(diags) - 1 - d, m) for m in range(n - 2)] for d in range(len(diags))],
+        dtype=np.int64,
+    ).reshape(len(diags), n - 2)
+    return ends, lookup, binom
+
+
+def _row_keys(rows: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """One int64 per row of ascending diagonal ids, increasing in lexicographic row order.
+
+    Replacing each id d by D-1-d turns lexicographic order into reversed
+    colex order, in which sum_i C(x_i, i) over the ascending elements x_i
+    ranks a k-set exactly.  The key is minus that rank.
+    """
+    k = rows.shape[1]
+    key = np.zeros(len(rows), dtype=np.int64)
+    for i in range(k):
+        key -= binom[rows[:, i], k - i]
+    return key
+
+
+@lru_cache(maxsize=32)
+def _id_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All triangulations of the n-gon as rows of ascending diagonal ids, and their keys.
+
+    Rows are in canonical order, so row i is enumerate_triangulations(n)[i]:
+    ids follow the lexicographic order of diagonals, and so do the keys.
+    """
+    k = n - 3
+    if math.comb(n * k // 2, k) > np.iinfo(np.int64).max:
+        raise CapacityError(f"keys of the {n}-gon's triangulations overflow 64 bits")
+    _, lookup, binom = _id_tables(n)
+    sets = tri._range_diagonal_sets(n)
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(sets)), dtype=np.uint8, count=2 * k * len(sets)
+    )
+    rows = lookup[flat[0::2], flat[1::2]].reshape(len(sets), k)
+    rows.sort(axis=1)
+    keys = _row_keys(rows, binom)
+    order = np.argsort(keys)
+    rows, keys = rows[order], keys[order]
+    rows.flags.writeable = keys.flags.writeable = False
+    return rows, keys
+
+
 @lru_cache(maxsize=32)
 def _associahedron_cached(n: int) -> Graph:
     # range validation happens in build_associahedron
-    ts = tri.enumerate_triangulations(n, max_n=n)
-    index = {t.diagonals: i for i, t in enumerate(ts)}
-    edges = []
-    for i, t in enumerate(ts):
-        for nb in tri.neighbors(t):
-            j = index[nb.diagonals]
-            if i < j:
-                edges.append((i, j))
-    return from_edges(len(ts), edges, labels=tuple(t.code() for t in ts))
+    rows, keys = _id_rows(n)
+    ends, lookup, binom = _id_tables(n)
+    count, k = rows.shape
+    # masks[r, v] has bit u set when uv is a side or a diagonal of row r
+    bit = (1 << np.arange(n)).astype(np.min_scalar_type(1 << (n - 1)))
+    masks = np.tile(np.roll(bit, 1) | np.roll(bit, -1), (count, 1))
+    r = np.arange(count)
+    for i in range(k):
+        a, b = ends[rows[:, i]].T
+        masks[r, a] |= bit[b]
+        masks[r, b] |= bit[a]
+    nbrs = np.empty((count, k), dtype=np.int64)
+    for i in range(k):
+        a, b = ends[rows[:, i]].T
+        # the common neighbours of a and b are the apexes of the two triangles
+        # on ab; the flip replaces ab by the chord p-q joining them
+        common = masks[r, a] & masks[r, b]
+        q = np.frexp(common)[1] - 1
+        p = np.frexp(common ^ bit[q])[1] - 1
+        flipped = rows.copy()
+        flipped[:, i] = lookup[p, q]
+        flipped.sort(axis=1)
+        nbrs[:, i] = np.searchsorted(keys, _row_keys(flipped, binom))
+    nbrs.sort(axis=1)
+    names = np.array([f"{i}-{j}" for i, j in _diagonals(n)], dtype=object)
+    labels = tuple(map(",".join, names[rows].tolist()))
+    offsets = np.arange(count + 1, dtype=np.int64) * k
+    return Graph(offsets, nbrs.reshape(-1), labels, k)
 
 
 def build_associahedron(n: int, max_n: int | None = None) -> Graph:
@@ -182,8 +266,8 @@ def diagonal_slice(n: int, d: Iterable[int], max_n: int | None = None) -> Graph:
     """
     d = tri.validate_diagonal(n, d)
     g = build_associahedron(n, max_n)
-    ts = tri.enumerate_triangulations(n, max_n)
-    keep = [i for i, t in enumerate(ts) if d in t.diagonals]
+    rows, _ = _id_rows(n)
+    keep = np.flatnonzero((rows == _diagonals(n).index(d)).any(axis=1))
     sub, _ = induced_subgraph(g, keep)
     return sub
 
@@ -274,7 +358,12 @@ def is_isomorphic(g: Graph, h: Graph, size_limit: int | None = None) -> bool:
             mapping[gv] = -1
         return False
 
-    return extend(0)
+    try:
+        return extend(0)
+    finally:
+        # extend refers to itself: unbinding it frees the closure and the
+        # adjacency sets it holds now, not at the next cyclic collection
+        del extend
 
 
 def validate_regular(g: Graph, d: int) -> bool:

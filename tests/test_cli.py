@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from flipspectra.cli import main
 
 
@@ -185,6 +187,19 @@ def test_exit_code_input_error(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--n", "2")
     assert code == 2
     assert "input error" in err
+
+
+def test_certify_suite_below_n4_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--certify", "--n-max", "3")
+    assert code == 2
+    assert out == "" and "input error" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_spectrum_rejects_nonpositive_tol(capsys, tol):
+    code, out, err = run_cli(capsys, "spectrum", "--n", "6", "--tol", tol)
+    assert code == 2
+    assert out == "" and "input error" in err
 
 
 def test_exit_code_convergence_error(capsys):

@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,18 @@ from flipspectra.flipgraph import (
     validate_regular,
     write_edge_list,
 )
-from flipspectra.triangulations import catalan
+from flipspectra import triangulations as tri
+from flipspectra.triangulations import catalan, crosses
+
+
+def flip_oracle_graph(n):
+    """The flip graph built one validated flip at a time, as an edge list."""
+    ts = tri.enumerate_triangulations(n)
+    index = {t.diagonals: i for i, t in enumerate(ts)}
+    edges = [
+        (i, index[nb.diagonals]) for i, t in enumerate(ts) for nb in tri.neighbors(t)
+    ]
+    return from_edges(len(ts), edges, labels=tuple(t.code() for t in ts)), ts
 
 
 def test_small_flip_graphs():
@@ -59,6 +71,50 @@ def test_flip_graph_structure_at_scale(assoc):
         assert is_connected(g)
         assert g.edge_count == catalan(n - 2) * (n - 3) // 2
     assert not contains_triangle(assoc(10))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_array_build_matches_flip_oracle(n):
+    g = build_associahedron(n)
+    want, _ = flip_oracle_graph(n)
+    assert g.offsets.dtype == want.offsets.dtype == np.int64
+    assert g.neighbors.dtype == want.neighbors.dtype == np.int64
+    assert np.array_equal(g.offsets, want.offsets)
+    assert np.array_equal(g.neighbors, want.neighbors)
+    assert g.labels == want.labels
+    assert g.degree == want.degree == n - 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_csr_neighbors_differ_by_one_crossing_flip(data):
+    n = data.draw(st.integers(3, 11))
+    g = build_associahedron(n)
+    v = data.draw(st.integers(0, g.vertex_count - 1))
+    here = set(tri.Triangulation.from_code(n, g.labels[v]).diagonals)
+    for w in g.neighbors_of(v):
+        there = set(tri.Triangulation.from_code(n, g.labels[int(w)]).diagonals)
+        (gone,), (new,) = here - there, there - here
+        assert crosses(gone, new)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_slice_matches_enumeration_oracle(n):
+    g, ts = flip_oracle_graph(n)
+    for d in {d for t in ts for d in t.diagonals}:
+        want, _ = induced_subgraph(g, [i for i, t in enumerate(ts) if d in t.diagonals])
+        got = diagonal_slice(n, d)
+        assert np.array_equal(got.offsets, want.offsets)
+        assert np.array_equal(got.neighbors, want.neighbors)
+        assert got.labels == want.labels and got.degree == want.degree
+
+
+@pytest.mark.parametrize("g", [path_graph(4), petersen_graph(), build_associahedron(7)])
+def test_dense_adjacency_matches_row_loop(g):
+    want = np.zeros((g.vertex_count, g.vertex_count))
+    for u in range(g.vertex_count):
+        want[u, g.neighbors_of(u)] = 1.0
+    assert np.array_equal(g.dense_adjacency(), want)
 
 
 def test_flip_graph_labels_follow_enumeration():
