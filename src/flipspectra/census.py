@@ -161,16 +161,10 @@ def pentagon_count_edge_oracle(
     return count
 
 
-def count_pentagons_total(
-    g: Graph, limit: int | None = None, adj: list[set[int]] | None = None
-) -> int:
-    """Number of distinct 5-cycles in g, by rooted simple-path enumeration.
-
-    ``adj`` may pass in a precomputed ``g.adjacency_sets()``.
-    """
+def count_pentagons_total(g: Graph, limit: int | None = None) -> int:
+    """Number of distinct 5-cycles in g, by rooted simple-path enumeration."""
     _check_census_size(g, limit)
-    if adj is None:
-        adj = g.adjacency_sets()
+    adj = g.adjacency_sets()
     total = 0
     for r in range(g.vertex_count):
         # only cycles whose minimum vertex is r

@@ -11,7 +11,6 @@ certification.
 
 from __future__ import annotations
 
-import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -114,72 +113,60 @@ def from_edges(
     return Graph(offsets, nbrs, labels, uniform)
 
 
-def _diagonals(n: int) -> list[tri.Diagonal]:
-    """Diagonals of the n-gon in lexicographic order; a diagonal's id is its index."""
-    return [(i, j) for i in range(1, n - 1) for j in range(i + 2, n + 1) if (i, j) != (1, n)]
+@lru_cache(maxsize=32)
+def _diagonal_ids(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ends, lookup) for the diagonals of the n-gon, numbered in lexicographic order.
 
-
-def _id_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ends, lookup, binom) for the diagonal ids of the n-gon.
-
-    ends[d] holds the 0-based endpoints of diagonal d, lookup[i, j] the id
-    of the diagonal with 0-based endpoints i < j, and binom[d, m] is
-    C(D-1-d, m) for the D diagonals and m = 0..n-3.
+    ends[d] holds the 0-based endpoints of diagonal d, and lookup[i, j] the
+    id of the diagonal with 0-based endpoints i < j.  Ids are uint8.
     """
-    diags = _diagonals(n)
-    ends = np.array(diags, dtype=np.intp).reshape(-1, 2) - 1
+    if n * (n - 3) // 2 > 256:
+        raise CapacityError(f"the {n}-gon has more diagonals than uint8 ids can number")
+    ends = np.array(
+        [(i, j) for i in range(n - 2) for j in range(i + 2, n) if (i, j) != (0, n - 1)],
+        dtype=np.intp,
+    ).reshape(-1, 2)
     lookup = np.zeros((n, n), dtype=np.uint8)
-    lookup[ends[:, 0], ends[:, 1]] = np.arange(len(diags))
-    binom = np.array(
-        [[math.comb(len(diags) - 1 - d, m) for m in range(n - 2)] for d in range(len(diags))],
-        dtype=np.int64,
-    ).reshape(len(diags), n - 2)
-    return ends, lookup, binom
+    lookup[ends[:, 0], ends[:, 1]] = np.arange(len(ends))
+    ends.flags.writeable = lookup.flags.writeable = False
+    return ends, lookup
 
 
-def _row_keys(rows: np.ndarray, binom: np.ndarray) -> np.ndarray:
-    """One int64 per row of ascending diagonal ids, increasing in lexicographic row order.
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of ascending uint8 ids as one byte string, ordered like the rows.
 
-    Replacing each id d by D-1-d turns lexicographic order into reversed
-    colex order, in which sum_i C(x_i, i) over the ascending elements x_i
-    ranks a k-set exactly.  The key is minus that rank.
+    The bytes dtype drops trailing zero bytes, which merges no two rows:
+    id 0 can only come first in an ascending row.
     """
-    k = rows.shape[1]
-    key = np.zeros(len(rows), dtype=np.int64)
-    for i in range(k):
-        key -= binom[rows[:, i], k - i]
-    return key
+    return rows.view(f"S{rows.shape[1]}").ravel()
 
 
 @lru_cache(maxsize=32)
-def _id_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All triangulations of the n-gon as rows of ascending diagonal ids, and their keys.
+def _id_rows(n: int) -> np.ndarray:
+    """All triangulations of the n-gon as rows of ascending diagonal ids.
 
     Rows are in canonical order, so row i is enumerate_triangulations(n)[i]:
-    ids follow the lexicographic order of diagonals, and so do the keys.
+    ids follow the lexicographic order of diagonals, so the rows do too.
     """
+    _, lookup = _diagonal_ids(n)
     k = n - 3
-    if math.comb(n * k // 2, k) > np.iinfo(np.int64).max:
-        raise CapacityError(f"keys of the {n}-gon's triangulations overflow 64 bits")
-    _, lookup, binom = _id_tables(n)
     sets = tri._range_diagonal_sets(n)
     flat = np.fromiter(
         chain.from_iterable(chain.from_iterable(sets)), dtype=np.uint8, count=2 * k * len(sets)
     )
     rows = lookup[flat[0::2], flat[1::2]].reshape(len(sets), k)
     rows.sort(axis=1)
-    keys = _row_keys(rows, binom)
-    order = np.argsort(keys)
-    rows, keys = rows[order], keys[order]
-    rows.flags.writeable = keys.flags.writeable = False
-    return rows, keys
+    if k:  # the triangle's one empty row needs no order
+        rows = rows[np.argsort(_row_keys(rows))]
+    rows.flags.writeable = False
+    return rows
 
 
 @lru_cache(maxsize=32)
 def _associahedron_cached(n: int) -> Graph:
     # range validation happens in build_associahedron
-    rows, keys = _id_rows(n)
-    ends, lookup, binom = _id_tables(n)
+    rows = _id_rows(n)
+    ends, lookup = _diagonal_ids(n)
     count, k = rows.shape
     # masks[r, v] has bit u set when uv is a side or a diagonal of row r
     bit = (1 << np.arange(n)).astype(np.min_scalar_type(1 << (n - 1)))
@@ -200,9 +187,9 @@ def _associahedron_cached(n: int) -> Graph:
         flipped = rows.copy()
         flipped[:, i] = lookup[p, q]
         flipped.sort(axis=1)
-        nbrs[:, i] = np.searchsorted(keys, _row_keys(flipped, binom))
+        nbrs[:, i] = np.searchsorted(_row_keys(rows), _row_keys(flipped))
     nbrs.sort(axis=1)
-    names = np.array([f"{i}-{j}" for i, j in _diagonals(n)], dtype=object)
+    names = np.array([f"{i + 1}-{j + 1}" for i, j in ends.tolist()], dtype=object)
     labels = tuple(map(",".join, names[rows].tolist()))
     offsets = np.arange(count + 1, dtype=np.int64) * k
     return Graph(offsets, nbrs.reshape(-1), labels, k)
@@ -266,8 +253,8 @@ def diagonal_slice(n: int, d: Iterable[int], max_n: int | None = None) -> Graph:
     """
     d = tri.validate_diagonal(n, d)
     g = build_associahedron(n, max_n)
-    rows, _ = _id_rows(n)
-    keep = np.flatnonzero((rows == _diagonals(n).index(d)).any(axis=1))
+    _, lookup = _diagonal_ids(n)
+    keep = np.flatnonzero((_id_rows(n) == lookup[d[0] - 1, d[1] - 1]).any(axis=1))
     sub, _ = induced_subgraph(g, keep)
     return sub
 

@@ -63,7 +63,6 @@ def test_petersen_five_cycles_against_subset_enumeration():
     total = sum(1 for subset in combinations(range(10), 5) if subset_has_c5(subset))
     assert total == 12
     assert count_pentagons_total(p) == 12
-    assert count_pentagons_total(p, adj=adj) == 12
 
 
 @pytest.mark.parametrize("n", range(5, 9))

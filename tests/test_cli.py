@@ -210,6 +210,12 @@ def test_exit_code_convergence_error(capsys):
     assert "resource error" in err
 
 
+def test_graph_past_uint8_diagonal_ids_is_resource_error(capsys):
+    code, out, err = run_cli(capsys, "graph", "--n", "25", "--max-n", "25")
+    assert code == 3
+    assert out == "" and "resource error" in err
+
+
 def test_output_file(tmp_path, capsys):
     out_file = tmp_path / "edges.txt"
     code, _, _ = run_cli(capsys, "graph", "--n", "5", "--out", str(out_file))

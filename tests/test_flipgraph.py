@@ -24,6 +24,7 @@ from flipspectra.flipgraph import (
     validate_regular,
     write_edge_list,
 )
+from flipspectra import flipgraph as fg
 from flipspectra import triangulations as tri
 from flipspectra.triangulations import catalan, crosses
 
@@ -83,6 +84,17 @@ def test_array_build_matches_flip_oracle(n):
     assert np.array_equal(g.neighbors, want.neighbors)
     assert g.labels == want.labels
     assert g.degree == want.degree == n - 3
+
+
+def test_build_stops_where_uint8_ids_run_out():
+    # 24 * 21 / 2 = 252 diagonals still fit; the 25-gon's 275 do not
+    ends, lookup = fg._diagonal_ids(24)
+    assert len(ends) == 252 and lookup[21, 23] == 251
+    before = tri._range_diagonal_sets.cache_info().currsize
+    with pytest.raises(CapacityError):
+        build_associahedron(25, max_n=25)
+    # the guard comes before any enumeration
+    assert tri._range_diagonal_sets.cache_info().currsize == before
 
 
 @settings(max_examples=40, deadline=None)
