@@ -28,7 +28,23 @@ EXIT_CAPACITY = 3
 
 
 def _out_stream(args):
-    return open(args.out, "w") if getattr(args, "out", None) else sys.stdout
+    if not getattr(args, "out", None):
+        return sys.stdout
+    try:
+        return open(args.out, "w")
+    except OSError as exc:
+        raise InvalidInputError(f"--out {args.out}: {exc.strerror}") from None
+
+
+def _read_lines(path: str, flag: str, parse) -> list:
+    """``parse`` of each non-blank line of a user's file."""
+    try:
+        with open(path) as src:
+            return [parse(line) for line in src if line.strip()]
+    except OSError as exc:
+        raise InvalidInputError(f"{flag} {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise InvalidInputError(f"{flag} {path}: {exc}") from None
 
 
 def _dump_json(obj, fh) -> None:
@@ -37,10 +53,11 @@ def _dump_json(obj, fh) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    ts = enumerate_triangulations(args.n, args.max_n)
+    # vertex i of the flip graph is triangulation i, labelled by its code
+    labels = build_associahedron(args.n, args.max_n).labels
     fh = _out_stream(args)
-    for t in ts:
-        fh.write(t.code() + "\n")
+    for code in labels:
+        fh.write(code + "\n")
     if fh is not sys.stdout:
         fh.close()
     return EXIT_OK
@@ -181,12 +198,9 @@ def cmd_bounds(args) -> int:
             raise InvalidInputError("--copies needs --n")
         pattern = _parse_pattern(args.pattern)
         g = build_associahedron(args.n)
-        with open(args.copies) as src:
-            copies = [
-                [int(x) for x in line.split(",")]
-                for line in src
-                if line.strip()
-            ]
+        copies = _read_lines(
+            args.copies, "--copies", lambda line: [int(x) for x in line.split(",")]
+        )
         stats = bounds.collection_stats_from_copies(g, pattern, copies)
         exact = spectra.lambda_min(g, seed=args.seed).value if args.certify else None
         report = bounds.certify_collection_bound(
@@ -247,8 +261,7 @@ def cmd_walk(args) -> int:
         else:
             if not args.fn_file:
                 raise InvalidInputError("--test-fn file needs --fn-file")
-            with open(args.fn_file) as src:
-                f = np.array([float(line) for line in src if line.strip()])
+            f = np.array(_read_lines(args.fn_file, "--fn-file", float))
         rep = walk.dirichlet_quotient(g, f)
         _dump_json(
             {
@@ -333,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=["auto", "dense", "iterative"], default="auto")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iterations", type=int, default=5000, dest="max_iterations")
+    p.add_argument("--max-iterations", type=int, default=5000, dest="max_iterations",
+                   help="cap on the iterative solver's operator applications, "
+                        "to within one ARPACK restart")
     p.add_argument("--timing", action="store_true", help="include wall time in the output")
     p.set_defaults(func=cmd_spectrum)
 

@@ -1,10 +1,23 @@
-"""Extreme adjacency eigenvalues: dense at small scale, Lanczos beyond.
+"""Extreme adjacency eigenvalues: dense at small scale, ARPACK beyond.
 
-The iterative path is a restarted Lanczos iteration with full
-reorthogonalization.  For the smallest eigenvalue it runs on the positive
-semidefinite shift d*I - A (d the uniform degree), for the second-largest
-it runs on A with the constant Perron eigenvector projected out, which is
-exact for connected regular graphs.
+The iterative path is ARPACK's implicitly restarted Lanczos method
+(``scipy.sparse.linalg.eigsh``; Lehoucq, Sorensen and Yang, *ARPACK
+Users' Guide*, SIAM 1998) on the compressed adjacency, and it requires a
+regular graph.  The smallest eigenvalue is the smallest algebraic
+eigenvalue of A.  The second-largest is the largest eigenvalue of
+A - (2d+1) J/N (d the degree, J the all-ones matrix, N the vertex count):
+on a d-regular graph this is A on the complement of the constant Perron
+vector, while the Perron value d moves to -(d+1), below all of A's
+spectrum.
+
+ARPACK's answer is checked, not trusted: the reported value is the
+Rayleigh quotient of the returned unit vector and the residual
+||A x - value x|| is computed from A.  A residual above ``tol`` raises
+ConvergenceError.
+
+``auto`` picks the dense solver up to AUTO_DENSE_LIMIT vertices, where a
+full ``eigh`` beats ARPACK, and for irregular graphs, which the iterative
+path rejects, up to the dense capacity DENSE_LIMIT_DEFAULT.
 """
 
 from __future__ import annotations
@@ -17,8 +30,11 @@ import scipy.linalg
 from .errors import CapacityError, ConvergenceError, InvalidInputError
 from .flipgraph import Graph, is_connected
 
-DENSE_LIMIT_DEFAULT = 5000
-LANCZOS_BASIS_CAP = 350
+DENSE_LIMIT_DEFAULT = 5000  # capacity of the dense solver
+# auto switches to ARPACK above this many vertices.  Measured dense / ARPACK
+# lambda_min on a 2-core machine: 1.0 / 4.2 ms on A8 (132 vertices) and
+# 12 / 8.4 ms on A9 (429); on random cubic graphs they meet at 300-350.
+AUTO_DENSE_LIMIT = 300
 
 
 @dataclass(frozen=True)
@@ -26,7 +42,7 @@ class SpectralResult:
     value: float
     residual: float  # ||A x - value * x||_2 with ||x||_2 = 1
     method: str      # "dense" or "iterative"
-    iterations: int
+    iterations: int  # operator applications; 0 on the dense path
     tolerance: float
 
 
@@ -51,16 +67,18 @@ class Spectrum:
         return float(self.eigenvalues[-1])
 
 
-def matvec(g: Graph, x: np.ndarray) -> np.ndarray:
-    """y = A x streamed over the compressed adjacency."""
-    x = np.asarray(x, dtype=float)
-    if len(g.neighbors) == 0:
-        return np.zeros(g.vertex_count)
-    deg = np.diff(g.offsets)
-    if deg.min() > 0:
-        return np.add.reduceat(x[g.neighbors], g.offsets[:-1])
-    src = np.repeat(np.arange(g.vertex_count), deg)
-    return np.bincount(src, weights=x[g.neighbors], minlength=g.vertex_count)
+def _csr(g: Graph):
+    import scipy.sparse
+
+    n = g.vertex_count
+    return scipy.sparse.csr_array(
+        (np.ones(len(g.neighbors)), g.neighbors, g.offsets), shape=(n, n)
+    )
+
+
+def matvec(g: Graph, x: np.ndarray, a=None) -> np.ndarray:
+    """y = A x as a CSR product; ``a`` is g's CSR matrix if already built."""
+    return (_csr(g) if a is None else a) @ np.asarray(x, dtype=float)
 
 
 def dense_spectrum(g: Graph, limit: int | None = None) -> Spectrum:
@@ -72,97 +90,60 @@ def dense_spectrum(g: Graph, limit: int | None = None) -> Spectrum:
     return Spectrum(vals[::-1].copy())
 
 
-def _top_tridiag(alphas: list[float], betas: list[float]) -> tuple[float, np.ndarray]:
-    k = len(alphas)
-    if k == 1:
-        return alphas[0], np.ones(1)
-    vals, vecs = scipy.linalg.eigh_tridiagonal(
-        np.asarray(alphas), np.asarray(betas), select="i", select_range=(k - 1, k - 1)
-    )
-    return float(vals[0]), vecs[:, 0]
+def _iterative(g: Graph, second: bool, tol: float, seed: int, max_iterations: int) -> SpectralResult:
+    """lambda_min, or lambda_2 if ``second``, of a regular graph by ARPACK."""
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+    d = g.degree
+    if d is None:
+        raise InvalidInputError("iterative path requires a regular graph")
+    n = g.vertex_count
+    a = _csr(g)
+    shift = 2 * d + 1 if second else 0
+    last = np.empty(n)  # the latest operator input: a real vector if ARPACK fails
+    applied = 0
 
-def _lanczos_largest(op, nv, rng, tol, max_iterations, basis_cap=LANCZOS_BASIS_CAP, project=None):
-    """Largest eigenvalue of a symmetric operator given by ``op``.
+    def op(x):
+        nonlocal applied
+        applied += 1
+        np.copyto(last, x)
+        y = matvec(g, x, a)
+        return y - shift * x.mean() if second else y
 
-    Full reorthogonalization against the stored basis; when the basis hits
-    its cap the iteration restarts from the best Ritz vector.  Returns
-    (value, vector, iterations, residual) or raises ConvergenceError with
-    the best pair found.
-    """
+    def checked(x) -> SpectralResult:
+        if second:
+            x = x - x.mean()
+        x = x / np.linalg.norm(x)
+        ax = matvec(g, x, a)
+        value = float(x @ ax)
+        residual = float(np.linalg.norm(ax - value * x))
+        return SpectralResult(value, residual, "iterative", applied, tol)
 
-    def prep(v):
-        if project is not None:
-            v = project(v)
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            raise InvalidInputError("start vector vanished under projection")
-        return v / nrm
-
-    v0 = prep(rng.standard_normal(nv))
-    total = 0
-    best = None  # (value, vector, residual)
-
-    while total < max_iterations:
-        cap = min(basis_cap, nv, max_iterations - total)
-        basis = np.empty((cap, nv))
-        alphas: list[float] = []
-        betas: list[float] = []
-        q = v0
-        q_prev = None
-        beta_prev = 0.0
-        restart_vec = None
-        for j in range(cap):
-            basis[j] = q
-            w = op(q)
-            if project is not None:
-                w = project(w)
-            a = float(q @ w)
-            alphas.append(a)
-            w = w - a * q
-            if q_prev is not None:
-                w = w - beta_prev * q_prev
-            # full reorthogonalization, applied twice for 1e-9 residuals
-            w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
-            w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
-            b = float(np.linalg.norm(w))
-            total += 1
-
-            theta, s = _top_tridiag(alphas, betas)
-            estimate = abs(b * s[-1])
-            at_end = j == cap - 1 or total >= max_iterations
-            if estimate <= tol or b <= 1e-13 or at_end:
-                x = basis[: j + 1].T @ s
-                if project is not None:
-                    x = project(x)
-                x /= np.linalg.norm(x)
-                r = op(x)
-                if project is not None:
-                    r = project(r)
-                value = float(x @ r)
-                residual = float(np.linalg.norm(r - value * x))
-                if best is None or residual < best[2]:
-                    best = (value, x, residual)
-                if residual <= tol:
-                    return value, x, total, residual
-                if b <= 1e-13:
-                    # invariant subspace exhausted without reaching tol
-                    restart_vec = prep(rng.standard_normal(nv))
-                    break
-                if at_end:
-                    restart_vec = x
-                    break
-            betas.append(b)
-            q_prev, beta_prev = q, b
-            q = w / b
-        v0 = restart_vec if restart_vec is not None else prep(rng.standard_normal(nv))
-
-    value, x, residual = best
-    raise ConvergenceError(
-        f"no convergence to {tol:g} within {max_iterations} iterations "
-        f"(best residual {residual:.3e})",
-        best=SpectralResult(value, residual, "iterative", total, tol),
-    )
+    ncv = min(n, 20)  # eigsh's own default for one eigenvalue
+    try:
+        # ARPACK's tol is relative to |theta| <= d
+        _, vecs = eigsh(
+            LinearOperator((n, n), matvec=op, dtype=float),
+            k=1,
+            which="LA" if second else "SA",
+            v0=np.random.default_rng(seed).standard_normal(n),
+            ncv=ncv,
+            maxiter=max(1, max_iterations // ncv),
+            tol=tol / max(d, 1),
+        )
+    except ArpackNoConvergence:
+        best = checked(last)
+        raise ConvergenceError(
+            f"no convergence to {tol:g} within {max_iterations} iterations "
+            f"(best residual {best.residual:.3e})",
+            best=best,
+        ) from None
+    result = checked(vecs[:, 0])
+    if result.residual > tol:
+        raise ConvergenceError(
+            f"ARPACK stopped with residual {result.residual:.3e} above {tol:g}", best=result
+        )
+    return result
 
 
 def _dense_extreme(g: Graph, index: int, tol: float) -> SpectralResult:
@@ -177,12 +158,14 @@ def _dense_extreme(g: Graph, index: int, tol: float) -> SpectralResult:
 def _choose_method(g: Graph, method: str, dense_limit: int | None) -> str:
     cap = DENSE_LIMIT_DEFAULT if dense_limit is None else dense_limit
     if method == "auto":
-        return "dense" if g.vertex_count <= cap else "iterative"
+        small = g.vertex_count <= AUTO_DENSE_LIMIT or g.degree is None
+        return "dense" if small and g.vertex_count <= cap else "iterative"
     if method == "dense" and g.vertex_count > cap:
         raise CapacityError(f"dense solver limited to {cap} vertices")
     if method not in ("dense", "iterative"):
         raise InvalidInputError(f"unknown method {method!r}")
-    return method
+    # ARPACK needs more vertices than wanted eigenvalues
+    return "dense" if g.vertex_count == 1 else method
 
 
 def lambda_min(
@@ -195,21 +178,14 @@ def lambda_min(
 ) -> SpectralResult:
     """Smallest adjacency eigenvalue.
 
-    The iterative path requires a regular graph: it maximizes over the
-    Krylov space of the shift d*I - A and returns d minus the result.
+    The iterative path requires a regular graph.  ``max_iterations`` caps
+    its operator applications, to within one ARPACK restart.
     """
     if g.vertex_count == 0:
         raise InvalidInputError("empty graph")
-    chosen = _choose_method(g, method, dense_limit)
-    if chosen == "dense":
+    if _choose_method(g, method, dense_limit) == "dense":
         return _dense_extreme(g, 0, tol)
-    d = g.degree
-    if d is None:
-        raise InvalidInputError("iterative path requires a regular graph")
-    rng = np.random.default_rng(seed)
-    op = lambda x: d * x - matvec(g, x)
-    theta, _, iters, residual = _lanczos_largest(op, g.vertex_count, rng, tol, max_iterations)
-    return SpectralResult(d - theta, residual, "iterative", iters, tol)
+    return _iterative(g, False, tol, seed, max_iterations)
 
 
 def lambda_2(
@@ -222,25 +198,16 @@ def lambda_2(
 ) -> SpectralResult:
     """Second-largest adjacency eigenvalue of a connected graph.
 
-    The iterative path deflates the constant Perron eigenvector (exact for
-    regular graphs) and maximizes over its orthogonal complement.
+    The iterative path requires a regular graph: it deflates the constant
+    Perron eigenvector and maximizes over its orthogonal complement.
     """
     if g.vertex_count < 2:
         raise InvalidInputError("second eigenvalue undefined on fewer than 2 vertices")
     if not is_connected(g):
         raise InvalidInputError("graph must be connected")
-    chosen = _choose_method(g, method, dense_limit)
-    if chosen == "dense":
+    if _choose_method(g, method, dense_limit) == "dense":
         return _dense_extreme(g, g.vertex_count - 2, tol)
-    if g.degree is None:
-        raise InvalidInputError("iterative path requires a regular graph")
-    rng = np.random.default_rng(seed)
-    project = lambda v: v - v.mean()
-    op = lambda x: matvec(g, x)
-    value, _, iters, residual = _lanczos_largest(
-        op, g.vertex_count, rng, tol, max_iterations, project=project
-    )
-    return SpectralResult(value, residual, "iterative", iters, tol)
+    return _iterative(g, True, tol, seed, max_iterations)
 
 
 def cycle_spectrum(m: int) -> Spectrum:

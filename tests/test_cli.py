@@ -3,6 +3,7 @@ import json
 import pytest
 
 from flipspectra.cli import main
+from flipspectra.triangulations import enumerate_triangulations
 
 
 def run_cli(capsys, *argv):
@@ -18,6 +19,19 @@ def test_enumerate(capsys):
     assert len(lines) == 5
     assert lines[0] == "1-3,1-4"
     assert lines == sorted(lines)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_enumerate_matches_triangulation_codes(capsys, n):
+    code, out, _ = run_cli(capsys, "enumerate", "--n", str(n))
+    assert code == 0
+    assert out == "".join(t.code() + "\n" for t in enumerate_triangulations(n))
+
+
+def test_enumerate_above_size_cap_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--n", "15")
+    assert code == 2
+    assert out == "" and "input error" in err
 
 
 def test_graph_export(capsys):
@@ -214,6 +228,28 @@ def test_graph_past_uint8_diagonal_ids_is_resource_error(capsys):
     code, out, err = run_cli(capsys, "graph", "--n", "25", "--max-n", "25")
     assert code == 3
     assert out == "" and "resource error" in err
+
+
+def test_missing_copies_file_is_input_error(tmp_path, capsys):
+    missing = tmp_path / "1,2,x"
+    code, out, err = run_cli(capsys, "bounds", "--n", "6", "--copies", str(missing))
+    assert code == 2
+    assert out == "" and "input error" in err
+
+
+def test_malformed_fn_file_is_input_error(tmp_path, capsys):
+    fn = tmp_path / "f.txt"
+    fn.write_text("abc\n")
+    code, out, err = run_cli(capsys, "walk", "--n", "6", "--test-fn", "file", "--fn-file", str(fn))
+    assert code == 2
+    assert out == "" and "input error" in err
+
+
+def test_unwritable_out_is_input_error(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "x.txt"
+    code, out, err = run_cli(capsys, "graph", "--n", "5", "--out", str(target))
+    assert code == 2
+    assert out == "" and "input error" in err
 
 
 def test_output_file(tmp_path, capsys):

@@ -14,10 +14,12 @@ from flipspectra.flipgraph import (
     induced_subgraph,
     path_graph,
     petersen_graph,
+    random_regular_graph,
     single_vertex,
 )
 from flipspectra.reference import A6_SPECTRUM_CORRECTED
 from flipspectra.spectra import (
+    AUTO_DENSE_LIMIT,
     box_spectrum_min,
     cycle_spectrum,
     dense_spectrum,
@@ -66,6 +68,53 @@ def test_dense_and_iterative_agree(n, assoc):
     i2 = lambda_2(g, method="iterative")
     assert abs(d2.value - i2.value) < 1e-6
     assert i2.residual <= 1e-9
+
+
+@pytest.mark.parametrize("g", [build_associahedron(4), cycle_graph(5)], ids=["K2", "C5"])
+def test_iterative_matches_dense_on_tiny_graphs(g):
+    # lambda_2(K2) = -1 lies below the constant vector's 0 under a plain
+    # projection of A, so the iterative path must deflate, not just project
+    for solver in (lambda_min, lambda_2):
+        dense = solver(g, method="dense")
+        it = solver(g, method="iterative")
+        assert it.method == "iterative"
+        assert abs(it.value - dense.value) < 1e-12
+        assert it.residual <= 1e-9
+
+
+@pytest.mark.parametrize("n", range(6, 12))
+def test_iterative_residuals_within_tol(n, assoc):
+    g = assoc(n)
+    for seed in range(20):
+        for solver in (lambda_min, lambda_2):
+            r = solver(g, method="iterative", seed=seed)
+            assert r.residual <= r.tolerance == 1e-9
+
+
+@pytest.mark.parametrize("solver", [lambda_min, lambda_2])
+def test_convergence_error_best_is_a_rayleigh_pair(solver):
+    g = build_associahedron(8)
+    with pytest.raises(ConvergenceError) as err:
+        solver(g, method="iterative", max_iterations=3)
+    best = err.value.best
+    assert best.iterations > 0
+    vals = dense_spectrum(g).eigenvalues
+    # a Rayleigh quotient lies in [lambda_min, lambda_max]; some eigenvalue
+    # lies within its residual; and value^2 + residual^2 = ||A x||^2 <= d^2
+    assert vals[-1] - 1e-12 <= best.value <= vals[0] + 1e-12
+    assert np.min(np.abs(vals - best.value)) <= best.residual + 1e-12
+    assert best.value**2 + best.residual**2 <= g.degree**2 + 1e-9
+
+
+def test_auto_switches_to_iterative_above_the_crossover():
+    below = random_regular_graph(AUTO_DENSE_LIMIT, 4, seed=1)
+    above = random_regular_graph(AUTO_DENSE_LIMIT + 1, 4, seed=1)
+    for solver in (lambda_min, lambda_2):
+        assert solver(below).method == "dense"
+        assert solver(above).method == "iterative"
+    irregular = path_graph(AUTO_DENSE_LIMIT + 1)
+    assert lambda_min(irregular).method == "dense"
+    assert lambda_2(irregular).method == "dense"
 
 
 def test_lambda_min_is_strictly_decreasing(lambda_min_values):
