@@ -23,17 +23,16 @@ from .flipgraph import (
     induced_subgraph,
     is_connected,
     is_isomorphic,
+    slice_product_map,
     validate_regular,
 )
 from .spectra import (
     SpectralResult,
     Spectrum,
-    box_spectrum_min,
     cycle_spectrum,
     dense_spectrum,
     lambda_2,
     lambda_min,
-    quadratic_form_check,
 )
 
 __version__ = "0.1.0"

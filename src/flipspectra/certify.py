@@ -3,7 +3,9 @@
 Each claim callable returns a ClaimResult; the driver collects them into a
 machine-readable report.  Scope scales with n_max so small runs stay fast:
 census claims cap at n = 9 (pentagons) and n = 8 (hexagons), slice
-isomorphism at n = 10 regardless of n_max.
+isomorphism at n = 10 regardless of n_max.  The slice claim checks the
+explicit bijection slice_product_map against the box product's edges; it
+does not search for an isomorphism.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .flipgraph import (
     is_isomorphic,
     petersen_graph,
     random_regular_graph,
+    slice_product_map,
     validate_regular,
 )
 from .reference import LAMBDA_2_TABLE, LAMBDA_MIN_TABLE
@@ -162,7 +165,7 @@ def _claim_slice_isomorphism(n_max: int) -> ClaimResult:
             prod = box_product(build_associahedron(k), build_associahedron(n - k + 2))
             if slc.vertex_count != catalan(k - 2) * catalan(n - k):
                 bad.append(f"n={n},k={k}: vertex count")
-            if not is_isomorphic(slc, prod):
+            if not is_isomorphic(slc, prod, slice_product_map(n, k)):
                 bad.append(f"n={n},k={k}: not isomorphic")
     return ClaimResult(
         "diagonal-slice-isomorphism",

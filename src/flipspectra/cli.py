@@ -9,6 +9,7 @@ timing is only emitted when --timing is passed.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -27,11 +28,14 @@ EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 
 
-def _out_stream(args):
-    if not getattr(args, "out", None):
-        return sys.stdout
+def _emit(args, text: str) -> None:
+    """Write a command's finished output to stdout, or to the --out file."""
+    if not args.out:
+        sys.stdout.write(text)
+        return
     try:
-        return open(args.out, "w")
+        with open(args.out, "w") as fh:
+            fh.write(text)
     except OSError as exc:
         raise InvalidInputError(f"--out {args.out}: {exc.strerror}") from None
 
@@ -47,19 +51,14 @@ def _read_lines(path: str, flag: str, parse) -> list:
         raise InvalidInputError(f"{flag} {path}: {exc}") from None
 
 
-def _dump_json(obj, fh) -> None:
-    fh.write(json.dumps(obj, indent=2, sort_keys=True))
-    fh.write("\n")
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def cmd_enumerate(args) -> int:
     # vertex i of the flip graph is triangulation i, labelled by its code
     labels = build_associahedron(args.n, args.max_n).labels
-    fh = _out_stream(args)
-    for code in labels:
-        fh.write(code + "\n")
-    if fh is not sys.stdout:
-        fh.close()
+    _emit(args, "".join(code + "\n" for code in labels))
     return EXIT_OK
 
 
@@ -75,16 +74,19 @@ def cmd_graph(args) -> int:
         g = diagonal_slice(args.n, d, args.max_n)
     else:
         g = build_associahedron(args.n, args.max_n)
-    fh = _out_stream(args)
-    write_edge_list(g, fh)
-    if fh is not sys.stdout:
-        fh.close()
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    _emit(args, buf.getvalue())
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
     if not args.tol > 0:  # also rejects NaN
         raise InvalidInputError(f"--tol must be positive, got {args.tol}")
+    if args.max_iterations < 1:
+        raise InvalidInputError(
+            f"--max-iterations must be at least 1, got {args.max_iterations}"
+        )
     g = build_associahedron(args.n, args.max_n)
     t0 = time.perf_counter()
     result = {
@@ -122,15 +124,12 @@ def cmd_spectrum(args) -> int:
         result["iterations"] = r.iterations
     if args.timing:
         result["seconds"] = time.perf_counter() - t0
-    fh = _out_stream(args)
-    _dump_json(result, fh)
-    if fh is not sys.stdout:
-        fh.close()
+    _emit(args, _json(result))
     return EXIT_OK
 
 
 def cmd_census(args) -> int:
-    fh = _out_stream(args)
+    fh = io.StringIO()
     ts = enumerate_triangulations(args.n, args.max_n)
     pent = census.pentagon_census(args.n, oracle=args.oracle)
     hexa = census.hexagon_census(args.n, oracle=args.oracle) if args.n >= 6 else None
@@ -161,8 +160,7 @@ def cmd_census(args) -> int:
                 fh.write(f"{i},{ear_count(t)},{pf},{po},{hx},{ho}\n")
             else:
                 fh.write(f"{i},{ear_count(t)},{pf},{hx}\n")
-    if fh is not sys.stdout:
-        fh.close()
+    _emit(args, fh.getvalue())
     return EXIT_OK
 
 
@@ -192,7 +190,6 @@ def _parse_pattern(text: str):
 
 
 def cmd_bounds(args) -> int:
-    fh = _out_stream(args)
     if args.copies is not None:
         if args.n is None:
             raise InvalidInputError("--copies needs --n")
@@ -215,18 +212,14 @@ def cmd_bounds(args) -> int:
             None,
             {"m": stats.m, "t": stats.t, "copies": stats.copy_count},
         )
-        _dump_json([_bound_report_obj(report)], fh)
-        if fh is not sys.stdout:
-            fh.close()
+        _emit(args, _json([_bound_report_obj(report)]))
         return EXIT_CLAIM if report.satisfied is False else EXIT_OK
     if args.certify and args.n is None:
         results = certify.run_certification(args.n_max, seed=args.seed)
         payload = [
             {"claim": r.name, "passed": r.passed, "detail": r.detail} for r in results
         ]
-        _dump_json(payload, fh)
-        if fh is not sys.stdout:
-            fh.close()
+        _emit(args, _json(payload))
         return EXIT_OK if all(r.passed for r in results) else EXIT_CLAIM
     if args.n is None:
         raise InvalidInputError("bounds needs --n, or --certify with --n-max")
@@ -236,20 +229,22 @@ def cmd_bounds(args) -> int:
         lam_min = spectra.lambda_min(g, seed=args.seed).value
         lam2 = spectra.lambda_2(g, seed=args.seed).value
     reports = bounds.flipgraph_bound_reports(args.n, lam_min=lam_min, lam2=lam2, eps=args.eps)
-    _dump_json([_bound_report_obj(r) for r in reports], fh)
-    if fh is not sys.stdout:
-        fh.close()
+    _emit(args, _json([_bound_report_obj(r) for r in reports]))
     failed = [r for r in reports if r.satisfied is False]
     return EXIT_CLAIM if failed else EXIT_OK
 
 
 def cmd_walk(args) -> int:
     g = build_associahedron(args.n, args.max_n)
-    fh = _out_stream(args)
     if args.test_fn:
         if args.test_fn == "aldous":
             f = walk.aldous_test_function(args.n, args.max_n)
         elif args.test_fn == "eigen":
+            if g.vertex_count < 2:
+                raise InvalidInputError(
+                    "the eigen test function needs a second eigenvector; "
+                    f"the flip graph of the {args.n}-gon has one vertex"
+                )
             if g.vertex_count > spectra.DENSE_LIMIT_DEFAULT:
                 raise CapacityError(
                     "the eigen test function needs the dense eigensolver; "
@@ -263,7 +258,7 @@ def cmd_walk(args) -> int:
                 raise InvalidInputError("--test-fn file needs --fn-file")
             f = np.array(_read_lines(args.fn_file, "--fn-file", float))
         rep = walk.dirichlet_quotient(g, f)
-        _dump_json(
+        text = _json(
             {
                 "n": args.n,
                 "test_fn": args.test_fn,
@@ -271,27 +266,25 @@ def cmd_walk(args) -> int:
                 "variance": rep.variance,
                 "quotient": rep.quotient,
                 "gap_upper": rep.gap_upper,
-            },
-            fh,
+            }
         )
     else:
         summary = walk.simulate_walk(
             g, walk.WalkConfig(steps=args.steps, seed=args.seed, start=args.start)
         )
-        fh.write(f"# n={args.n} steps={summary.steps} seed={summary.seed} "
-                 f"start={summary.start} returns={summary.return_count}\n")
-        fh.write("vertex,visits\n")
-        for v, c in enumerate(summary.counts):
-            fh.write(f"{v},{c}\n")
-    if fh is not sys.stdout:
-        fh.close()
+        text = (
+            f"# n={args.n} steps={summary.steps} seed={summary.seed} "
+            f"start={summary.start} returns={summary.return_count}\n"
+            "vertex,visits\n"
+        ) + "".join(f"{v},{c}\n" for v, c in enumerate(summary.counts))
+    _emit(args, text)
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
     table = LAMBDA_MIN_TABLE if args.kind == "lambda_min" else LAMBDA_2_TABLE
     solver = spectra.lambda_min if args.kind == "lambda_min" else spectra.lambda_2
-    fh = _out_stream(args)
+    fh = io.StringIO()
     ok = True
     fh.write(f"# {args.kind} of the flip graph, n = 5..{args.n_max}\n")
     fh.write("n-3\tvalue\treference\tstatus\n")
@@ -310,8 +303,7 @@ def cmd_table(args) -> int:
             status = "ok" if good else "MISMATCH"
             ok = ok and good
         fh.write(f"{n - 3}\t{value:.3f}\t{'-' if ref is None else format(ref, '.3f')}\t{status}\n")
-    if fh is not sys.stdout:
-        fh.close()
+    _emit(args, fh.getvalue())
     return EXIT_OK if ok else EXIT_CLAIM
 
 
@@ -348,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iterations", type=int, default=5000, dest="max_iterations",
                    help="cap on the iterative solver's operator applications, "
-                        "to within one ARPACK restart")
+                        "to within one ARPACK restart; at least 1")
     p.add_argument("--timing", action="store_true", help="include wall time in the output")
     p.set_defaults(func=cmd_spectrum)
 

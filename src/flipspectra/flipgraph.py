@@ -4,15 +4,11 @@ Storage is flat compressed adjacency (offsets + sorted neighbor array),
 which keeps matrix-vector products cache friendly.  The flip graph is built
 from an array encoding of the triangulations, one row of diagonal ids each,
 in one vectorised flip pass.  Besides the flip graph itself the module
-builds box products, induced subgraphs, diagonal slices, and provides a
-refinement-plus-backtracking isomorphism test for the small graphs used in
-certification.
+builds box products, induced subgraphs and diagonal slices.
 """
 
 from __future__ import annotations
 
-import sys
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -23,7 +19,6 @@ import numpy as np
 from . import triangulations as tri
 from .errors import CapacityError, InvalidInputError, RangeError
 
-ISO_SIZE_LIMIT_DEFAULT = 5000
 BOX_PRODUCT_LIMIT_DEFAULT = 2_000_000
 
 
@@ -202,10 +197,14 @@ def build_associahedron(n: int, max_n: int | None = None) -> Graph:
     enumerate_triangulations(n)[i].  The graph is (n-3)-regular on
     catalan(n-2) vertices; n = 3 gives the single-vertex graph.
     """
+    _check_range(n, max_n)
+    return _associahedron_cached(n)
+
+
+def _check_range(n: int, max_n: int | None) -> None:
     limit = tri.max_polygon(max_n)
     if n < 3 or n > limit:
         raise RangeError(f"n={n} outside the supported range 3..{limit}")
-    return _associahedron_cached(n)
 
 
 def box_product(g: Graph, h: Graph, max_vertices: int | None = None) -> Graph:
@@ -249,108 +248,76 @@ def diagonal_slice(n: int, d: Iterable[int], max_n: int | None = None) -> Graph:
     """Induced subgraph of the flip graph on triangulations containing d.
 
     For d = (1, k) the slice is isomorphic to the box product of the flip
-    graphs of a k-gon and an (n-k+2)-gon.
+    graphs of a k-gon and an (n-k+2)-gon; slice_product_map(n, k) is the
+    isomorphism.
     """
     d = tri.validate_diagonal(n, d)
     g = build_associahedron(n, max_n)
-    _, lookup = _diagonal_ids(n)
-    keep = np.flatnonzero((_id_rows(n) == lookup[d[0] - 1, d[1] - 1]).any(axis=1))
-    sub, _ = induced_subgraph(g, keep)
+    sub, _ = induced_subgraph(g, np.flatnonzero(_slice_mask(n, d)))
     return sub
 
 
-def _refined_colors(adj: list[set[int]]) -> list[int]:
-    """Iterated degree/neighborhood refinement; stable and graph-comparable."""
-    colors = [len(a) for a in adj]
-    classes = len(set(colors))
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in adj[v])))
-            for v in range(len(adj))
-        ]
-        relabel = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [relabel[s] for s in sigs]
-        if len(relabel) == classes:
-            return colors
-        classes = len(relabel)
+def _slice_mask(n: int, d: tuple[int, int]) -> np.ndarray:
+    """Which rows of _id_rows(n) hold the diagonal d (1-based endpoints)."""
+    _, lookup = _diagonal_ids(n)
+    return (_id_rows(n) == lookup[d[0] - 1, d[1] - 1]).any(axis=1)
 
 
-def is_isomorphic(g: Graph, h: Graph, size_limit: int | None = None) -> bool:
-    """Adjacency-preserving bijection test for small graphs.
+def _row_index(m: int, rows: np.ndarray) -> np.ndarray:
+    """Index in _id_rows(m) of each row of diagonal ids of the m-gon.
 
-    Color refinement prunes, then backtracking maps vertices in an order
-    that keeps each new vertex attached to already-mapped ones.  Intended
-    for certification at desk scale, not as a general iso engine.
+    Sorts the rows in place first.
     """
-    cap = ISO_SIZE_LIMIT_DEFAULT if size_limit is None else size_limit
-    if g.vertex_count > cap or h.vertex_count > cap:
-        raise CapacityError(f"isomorphism test limited to {cap} vertices")
-    if g.vertex_count != h.vertex_count or g.edge_count != h.edge_count:
-        return False
+    if rows.shape[1] == 0:  # the triangle's one triangulation
+        return np.zeros(len(rows), dtype=np.int64)
+    rows.sort(axis=1)
+    return np.searchsorted(_row_keys(_id_rows(m)), _row_keys(rows))
+
+
+def slice_product_map(n: int, k: int) -> np.ndarray:
+    """The isomorphism from diagonal_slice(n, (1, k)) onto A_k box A_{n-k+2}.
+
+    A triangulation that contains 1-k splits into one of the polygon 1..k
+    and one of the polygon k..n,1, relabelled 1..n-k+2.  Slice vertex v
+    maps to a * catalan(n-k) + b, box_product's index of the pair: a is
+    the left triangulation's index in A_k, b the right one's in A_{n-k+2}.
+    """
+    tri.validate_diagonal(n, (1, k))
+    _check_range(n, None)
+    ends, lookup = _diagonal_ids(n)
+    rows = _id_rows(n)[_slice_mask(n, (1, k))]
+    # drop 1-k itself; the other diagonals keep their ascending order
+    rest = rows[rows != lookup[0, k - 1]].reshape(len(rows), n - 4)
+    i, j = ends[rest].transpose(2, 0, 1)
+    # 0-based: a left diagonal ends at or before k-1, a right one after it
+    left = j < k
+    a = _row_index(k, _diagonal_ids(k)[1][i[left], j[left]].reshape(len(rows), k - 3))
+    # the right polygon's vertices k-1, ..., n-1, 0 become 0, ..., n-k+1
+    p, q = (i[~left] - k + 1) % n, (j[~left] - k + 1) % n
+    right = _diagonal_ids(n - k + 2)[1][np.minimum(p, q), np.maximum(p, q)]
+    b = _row_index(n - k + 2, right.reshape(len(rows), n - k - 1))
+    return a * tri.catalan(n - k) + b
+
+
+def is_isomorphic(g: Graph, h: Graph, mapping) -> bool:
+    """True iff ``mapping`` (vertex v of g to mapping[v] of h) is an isomorphism.
+
+    The map must be a permutation of range(|V|), and relabelling g's
+    compressed adjacency by it must give h's exactly.  Linear in the edges,
+    up to one sort.
+    """
     nv = g.vertex_count
-    if nv == 0:
-        return True
-    adj_g = g.adjacency_sets()
-    adj_h = h.adjacency_sets()
-    col_g = _refined_colors(adj_g)
-    col_h = _refined_colors(adj_h)
-    if sorted(col_g) != sorted(col_h):
+    if nv != h.vertex_count or g.edge_count != h.edge_count:
         return False
-
-    class_size = Counter(col_g)
-    order = []
-    placed = [False] * nv
-    attach = [0] * nv
-    for _ in range(nv):
-        best = min(
-            (v for v in range(nv) if not placed[v]),
-            key=lambda v: (-attach[v], class_size[col_g[v]], -len(adj_g[v]), v),
-        )
-        order.append(best)
-        placed[best] = True
-        for u in adj_g[best]:
-            if not placed[u]:
-                attach[u] += 1
-
-    by_color_h: dict[int, list[int]] = {}
-    for v in range(nv):
-        by_color_h.setdefault(col_h[v], []).append(v)
-
-    mapping = [-1] * nv
-    used = [False] * nv
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * nv + 100))
-
-    def extend(i: int) -> bool:
-        if i == nv:
-            return True
-        gv = order[i]
-        mapped_imgs = [mapping[u] for u in adj_g[gv] if mapping[u] >= 0]
-        if mapped_imgs:
-            cands = set(adj_h[mapped_imgs[0]])
-            for w in mapped_imgs[1:]:
-                cands &= adj_h[w]
-            pool = [hv for hv in cands if not used[hv] and col_h[hv] == col_g[gv]]
-        else:
-            pool = [hv for hv in by_color_h.get(col_g[gv], ()) if not used[hv]]
-        k = len(mapped_imgs)
-        for hv in sorted(pool):
-            # no adjacency into the mapped region beyond the required ones
-            if sum(1 for w in adj_h[hv] if used[w]) != k:
-                continue
-            used[hv] = True
-            mapping[gv] = hv
-            if extend(i + 1):
-                return True
-            used[hv] = False
-            mapping[gv] = -1
+    phi = np.asarray(mapping, dtype=np.int64)
+    if not np.array_equal(np.sort(phi), np.arange(nv)):
         return False
-
-    try:
-        return extend(0)
-    finally:
-        # extend refers to itself: unbinding it frees the closure and the
-        # adjacency sets it holds now, not at the next cyclic collection
-        del extend
+    src = phi[np.repeat(np.arange(nv), g.degrees())]
+    dst = phi[g.neighbors]
+    order = np.lexsort((dst, src))
+    # h's compressed adjacency read as its sorted (vertex, neighbour) pairs
+    h_src = np.repeat(np.arange(nv), h.degrees())
+    return np.array_equal(src[order], h_src) and np.array_equal(dst[order], h.neighbors)
 
 
 def validate_regular(g: Graph, d: int) -> bool:

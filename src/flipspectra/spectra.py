@@ -220,29 +220,3 @@ def cycle_spectrum(m: int) -> Spectrum:
         raise InvalidInputError("cycle needs at least 3 vertices")
     vals = 2.0 * np.cos(2.0 * np.pi * np.arange(m) / m)
     return Spectrum(np.sort(vals)[::-1].copy())
-
-
-def quadratic_form_check(k_graph: Graph, x: np.ndarray) -> tuple[float, float]:
-    """Evaluate both sides of sum_{ij in E} (x_i + x_j)^2 >= (k + lambda_min) ||x||^2.
-
-    Returns (lhs, rhs); the contract is lhs >= rhs up to roundoff for any
-    real vector on a k-regular graph.
-    """
-    x = np.asarray(x, dtype=float)
-    if len(x) != k_graph.vertex_count:
-        raise InvalidInputError(
-            f"vector length {len(x)} != vertex count {k_graph.vertex_count}"
-        )
-    k = k_graph.degree
-    if k is None:
-        raise InvalidInputError("quadratic form check requires a regular graph")
-    lam = dense_spectrum(k_graph).lambda_min
-    src = np.repeat(np.arange(k_graph.vertex_count), np.diff(k_graph.offsets))
-    lhs = float(((x[src] + x[k_graph.neighbors]) ** 2).sum() / 2.0)
-    rhs = float((k + lam) * (x @ x))
-    return lhs, rhs
-
-
-def box_spectrum_min(a: float, b: float) -> float:
-    """Smallest eigenvalue of a box product from those of its factors."""
-    return a + b

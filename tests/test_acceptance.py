@@ -31,6 +31,7 @@ from flipspectra.flipgraph import (
     is_isomorphic,
     petersen_graph,
     random_regular_graph,
+    slice_product_map,
 )
 from flipspectra.reference import (
     A6_SPECTRUM_CORRECTED,
@@ -220,7 +221,8 @@ def test_criterion_8_subadditivity_and_slices(lambda_min_values):
         for k in range(3, n):
             slc = diagonal_slice(n, (1, k))
             prod = box_product(build_associahedron(k), build_associahedron(n - k + 2))
-            if slc.vertex_count != catalan(k - 2) * catalan(n - k) or not is_isomorphic(slc, prod):
+            phi = slice_product_map(n, k)
+            if slc.vertex_count != catalan(k - 2) * catalan(n - k) or not is_isomorphic(slc, prod, phi):
                 slices = False
     ok = sub and slices
     _report(8, "subadditivity + slice isomorphism", ok)

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flipspectra.cli import main
 from flipspectra.triangulations import enumerate_triangulations
@@ -265,3 +267,112 @@ def test_repeated_runs_are_identical(capsys):
     second = run_cli(capsys, "spectrum", "--n", "7", "--which", "min", "--seed", "5",
                      "--solver", "iterative")
     assert first == second
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_spectrum_rejects_max_iterations_below_one(capsys, value):
+    code, out, err = run_cli(
+        capsys, "spectrum", "--n", "9", "--solver", "iterative", "--max-iterations", value
+    )
+    assert code == 2
+    assert out == "" and "input error" in err
+
+
+def test_walk_eigen_on_single_vertex_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "walk", "--n", "3", "--test-fn", "eigen")
+    assert code == 2
+    assert out == "" and "input error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--n", "6", "--copies", "MISSING"],
+        ["census", "--n", "4"],
+        ["walk", "--n", "6", "--test-fn", "file", "--fn-file", "MISSING"],
+    ],
+)
+def test_failed_command_creates_no_out_file(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--out", "x.txt")
+    assert code == 2
+    assert out == "" and "input error" in err
+    assert not (tmp_path / "x.txt").exists()
+
+
+@pytest.fixture(scope="module")
+def user_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    (root / "copies.txt").write_text("0,1,4,3,2\n")
+    (root / "fn.txt").write_text("".join(f"{v}\n" for v in range(5)))
+    return root
+
+
+def _argv(draw, root):
+    """One command line: every command, with good and bad values alike."""
+
+    def flag(name):
+        return [name] if draw(st.booleans()) else []
+
+    def path(name):
+        return str(root / draw(st.sampled_from([name, "missing.txt"])))
+
+    n = ["--n", str(draw(st.integers(-1, 7)))]
+    n_max = ["--n-max", str(draw(st.integers(-1, 6)))]
+    seed = ["--seed", str(draw(st.integers(0, 3)))]
+    command = draw(st.sampled_from(
+        ["enumerate", "graph", "spectrum", "census", "bounds", "walk", "table"]
+    ))
+    if command == "enumerate":
+        return [command, *n]
+    if command == "graph":
+        text = draw(st.one_of(
+            st.sampled_from(["1-3", "2-5", "1-2", "0-3", "3-1", "1-9", "1-", "x"]),
+            st.text(max_size=5),
+        ))
+        return [command, *n, *([f"--slice={text}"] if draw(st.booleans()) else [])]
+    if command == "spectrum":
+        return [
+            command, *n, *seed,
+            "--which", draw(st.sampled_from(["min", "second", "full"])),
+            "--solver", draw(st.sampled_from(["auto", "dense", "iterative"])),
+            "--tol", draw(st.sampled_from(["1e-9", "1e-6", "0", "-1", "nan"])),
+            "--max-iterations", str(draw(st.integers(-3, 50))),
+        ]
+    if command == "census":
+        return [command, *n, *flag("--oracle"), *flag("--edges")]
+    if command == "bounds":
+        shape = draw(st.sampled_from(["suite", "n", "copies"]))
+        if shape == "suite":
+            return [command, "--certify", *n_max, *seed]
+        argv = [command, *n, *flag("--certify"), *seed]
+        if shape == "copies":
+            pattern = draw(st.one_of(
+                st.sampled_from(["cycle:5", "cycle:2", "complete:0", "petersen", "cycle:x", "tree:3"]),
+                st.text(max_size=5),
+            ))
+            argv += ["--copies", path("copies.txt"), f"--pattern={pattern}"]
+        return argv
+    if command == "walk":
+        test_fn = draw(st.sampled_from([None, "aldous", "eigen", "file"]))
+        if test_fn is None:
+            start = draw(st.one_of(st.none(), st.integers(-3, 20)))
+            return [
+                command, *n, *seed, "--steps", str(draw(st.integers(-3, 50))),
+                *([] if start is None else ["--start", str(start)]),
+            ]
+        return [command, *n, "--test-fn", test_fn, "--fn-file", path("fn.txt")]
+    return [command, "--kind", draw(st.sampled_from(["lambda_min", "lambda_2"])), *n_max, *seed]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_argv_ends_in_an_exit_code(user_files, capsys, data):
+    argv = _argv(data.draw, user_files)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own usage error
+        assert exc.code == 2, argv
+    else:
+        assert code in (0, 1, 2, 3), argv
+    capsys.readouterr()

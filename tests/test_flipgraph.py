@@ -21,6 +21,7 @@ from flipspectra.flipgraph import (
     petersen_graph,
     random_regular_graph,
     single_vertex,
+    slice_product_map,
     validate_regular,
     write_edge_list,
 )
@@ -39,11 +40,15 @@ def flip_oracle_graph(n):
     return from_edges(len(ts), edges, labels=tuple(t.code() for t in ts)), ts
 
 
+# A5's vertices in the order of its 5-cycle: 0-1-4-3-2-0
+A5_TO_C5 = np.array([0, 1, 4, 3, 2])
+
+
 def test_small_flip_graphs():
     g4 = build_associahedron(4)
     assert g4.vertex_count == 2 and g4.edge_count == 1 and g4.degree == 1
     g5 = build_associahedron(5)
-    assert is_isomorphic(g5, cycle_graph(5))
+    assert is_isomorphic(g5, cycle_graph(5), A5_TO_C5)
     g6 = build_associahedron(6)
     assert g6.vertex_count == 14 and g6.degree == 3
 
@@ -144,10 +149,11 @@ def test_range_errors():
 
 def test_box_product_examples():
     k2 = complete_graph(2)
-    assert is_isomorphic(box_product(k2, k2), cycle_graph(4))
+    # (a, b) -> 2a + b: the square 00-01-11-10
+    assert is_isomorphic(box_product(k2, k2), cycle_graph(4), [0, 1, 3, 2])
     prism = box_product(cycle_graph(5), k2)
     assert prism.vertex_count == 10 and prism.degree == 3
-    assert is_isomorphic(box_product(cycle_graph(5), single_vertex()), cycle_graph(5))
+    assert is_isomorphic(box_product(cycle_graph(5), single_vertex()), cycle_graph(5), range(5))
 
 
 @settings(max_examples=30)
@@ -177,13 +183,34 @@ def test_a6_slice_on_diagonal_13():
     # triangulations of the hexagon containing (1,3): catalan(1)*catalan(3) = 5
     slc = diagonal_slice(6, (1, 3))
     assert slc.vertex_count == 5
-    assert is_isomorphic(slc, cycle_graph(5))
+    # A3 box A5 indexes its vertices like A5
+    assert is_isomorphic(slc, cycle_graph(5), A5_TO_C5[slice_product_map(6, 3)])
 
 
 def test_slice_is_box_product():
     slc = diagonal_slice(8, (1, 4))
     prod = box_product(build_associahedron(4), build_associahedron(6))
-    assert is_isomorphic(slc, prod)
+    assert is_isomorphic(slc, prod, slice_product_map(8, 4))
+
+
+def test_slice_product_map_errors():
+    with pytest.raises(InvalidInputError):
+        slice_product_map(6, 2)  # 1-2 is a side
+    with pytest.raises(RangeError):
+        slice_product_map(15, 5)
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    # every k up to n = 9, then a few pairs above the slice claim's n <= 10 cap
+    [(n, k) for n in range(4, 10) for k in range(3, n)] + [(11, 4), (11, 6), (12, 6), (12, 7)],
+)
+def test_slice_map_matches_dense_adjacency(n, k):
+    slc = diagonal_slice(n, (1, k))
+    prod = box_product(build_associahedron(k), build_associahedron(n - k + 2))
+    phi = slice_product_map(n, k)
+    assert np.array_equal(np.sort(phi), np.arange(prod.vertex_count))
+    assert np.array_equal(prod.dense_adjacency()[np.ix_(phi, phi)], slc.dense_adjacency())
 
 
 @pytest.mark.parametrize("n", range(4, 10))
@@ -194,16 +221,23 @@ def test_slice_vertex_counts(n):
 
 
 def test_isomorphism_negatives():
-    assert not is_isomorphic(cycle_graph(5), path_graph(5))
+    assert not is_isomorphic(cycle_graph(5), path_graph(5), range(5))
     # same degree sequence, different structure: C6 vs two triangles
     two_triangles = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert not is_isomorphic(cycle_graph(6), two_triangles)
-    assert not is_isomorphic(cycle_graph(5), cycle_graph(6))
-
-
-def test_isomorphism_capacity():
-    with pytest.raises(CapacityError):
-        is_isomorphic(cycle_graph(20), cycle_graph(20), size_limit=10)
+    assert not is_isomorphic(cycle_graph(6), two_triangles, range(6))
+    assert not is_isomorphic(cycle_graph(5), cycle_graph(6), range(5))
+    # an isolated vertex 2 leaves the edges intact under a repeated image
+    k2_and_point = from_edges(3, [(0, 1)])
+    assert is_isomorphic(k2_and_point, k2_and_point, [1, 0, 2])
+    assert not is_isomorphic(k2_and_point, k2_and_point, [0, 1, 0])
+    assert not is_isomorphic(cycle_graph(5), cycle_graph(5), range(4))
+    assert not is_isomorphic(cycle_graph(5), from_edges(6, cycle_graph(5).edges()), range(5))
+    # a bijection that breaks an edge: the slice map with two images swapped
+    slc = diagonal_slice(8, (1, 4))
+    prod = box_product(build_associahedron(4), build_associahedron(6))
+    phi = slice_product_map(8, 4)
+    phi[[0, 1]] = phi[[1, 0]]
+    assert not is_isomorphic(slc, prod, phi)
 
 
 def test_petersen():
