@@ -2,27 +2,24 @@
 
 Counts how many 5-cycles (pentagons) and how many hexagon-flip subgraphs
 (the 14-vertex flip graph of a hexagon) pass through each vertex and each
-edge.  Every formula route (dual-tree arithmetic, quadrilateral-side
-counting) is paired with an independent oracle (graph search over actual
-cycles, geometric region checks, whole-graph support enumeration).
+edge.  The formula route is array arithmetic on the flip pass that builds
+the flip graph: each flip is one edge of the dual tree, between the
+triangles on the flipped diagonal, and every count follows from those
+triangles' degrees.  Every formula is paired with an independent oracle
+(graph search over actual cycles, geometric region checks, whole-graph
+support enumeration).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .errors import CapacityError, InvalidInputError
-from .flipgraph import Graph, build_associahedron
-from .triangulations import (
-    Triangulation,
-    crosses,
-    dual_tree,
-    enumerate_triangulations,
-    is_polygon_side,
-    polygon_regions,
-)
+from .flipgraph import Graph, _check_range, _diagonal_ids, _flip_pass, _id_rows, build_associahedron
+from .triangulations import Triangulation, crosses, polygon_regions
 
 CENSUS_LIMIT_DEFAULT = 20000
 
@@ -69,14 +66,6 @@ def _check_census_size(g: Graph, limit: int | None) -> None:
 # ---------------------------------------------------------------------------
 # pentagons through a vertex
 
-def pentagon_count_vertex_formula(t: Triangulation) -> int:
-    """Number of 5-cycles through t, from its dual tree: sum of C(d_v, 2).
-
-    Equals n - 6 + t1 where t1 is the ear count, hence always >= n - 4.
-    """
-    return sum(d * (d - 1) // 2 for d in dual_tree(t).degrees)
-
-
 def pentagon_count_vertex_oracle(
     g: Graph, v: int, limit: int | None = None, adj: list[set[int]] | None = None
 ) -> int:
@@ -103,38 +92,6 @@ def pentagon_count_vertex_oracle(
 
 # ---------------------------------------------------------------------------
 # pentagons through an edge
-
-def _flip_quadrilateral(t1: Triangulation, t2: Triangulation):
-    """The 4-gon where two adjacent triangulations differ.
-
-    Returns (quad, removed, added): quad is the ascending vertex 4-tuple,
-    removed the diagonal of t1 only, added the diagonal of t2 only.
-    """
-    if t1.n != t2.n:
-        raise InvalidInputError("triangulations of different polygons")
-    s1, s2 = set(t1.diagonals), set(t2.diagonals)
-    only1, only2 = s1 - s2, s2 - s1
-    if len(only1) != 1 or len(only2) != 1:
-        raise InvalidInputError("triangulations are not adjacent (not one flip apart)")
-    removed = next(iter(only1))
-    added = next(iter(only2))
-    quad = tuple(sorted(set(removed) | set(added)))
-    if len(quad) != 4:
-        raise InvalidInputError("triangulations are not adjacent")
-    return quad, removed, added
-
-
-def pentagon_count_edge(t1: Triangulation, t2: Triangulation) -> int:
-    """5-cycles through the flip edge t1-t2: diagonal sides of the flip 4-gon.
-
-    Always between 1 and 4 for n >= 5.
-    """
-    quad, _, _ = _flip_quadrilateral(t1, t2)
-    n = t1.n
-    a, b, c, d = quad
-    sides = ((a, b), (b, c), (c, d), (a, d))
-    return sum(1 for s in sides if not is_polygon_side(n, s))
-
 
 def pentagon_count_edge_oracle(
     g: Graph, u: int, v: int, limit: int | None = None, adj: list[set[int]] | None = None
@@ -188,20 +145,6 @@ def count_pentagons_total(g: Graph, limit: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 # hexagon-flip subgraphs through a vertex
 
-def hexagon_count_vertex_formula(t: Triangulation) -> tuple[int, int]:
-    """Counts of 4-node connected subtrees of the dual tree, split by shape.
-
-    Returns (path_count, star_count): paths P4 contribute
-    sum over tree edges xy of (d_x - 1)(d_y - 1), stars K_{1,3} contribute
-    sum over nodes of C(d_v, 3).  Their total is the number of
-    hexagon-flip subgraphs containing t, at least n - 5.
-    """
-    dt = dual_tree(t)
-    p4 = sum((dt.degrees[i] - 1) * (dt.degrees[j] - 1) for i, j in dt.adjacency)
-    star = sum(math.comb(d, 3) for d in dt.degrees)
-    return p4, star
-
-
 def hexagon_count_vertex_oracle(n: int, t: Triangulation) -> int:
     """Triples of diagonals of t whose removal leaves one hexagonal face.
 
@@ -221,31 +164,6 @@ def hexagon_count_vertex_oracle(n: int, t: Triangulation) -> int:
 
 # ---------------------------------------------------------------------------
 # hexagon-flip subgraphs through an edge
-
-def hexagon_count_edge_bounds(t1: Triangulation, t2: Triangulation) -> int:
-    """Hexagon-flip subgraphs containing the flip edge t1-t2 (exact count).
-
-    The shared diagonals split the polygon into the flip 4-gon Q plus
-    triangles.  A containing hexagon arises by merging Q with two of its
-    neighboring triangles across distinct diagonal sides (C(q,2) ways for q
-    diagonal sides) or with a 2-chain of triangles across one side.  The
-    result is always between 1 and 14.
-    """
-    quad, removed, _ = _flip_quadrilateral(t1, t2)
-    n = t1.n
-    common = [d for d in t1.diagonals if d != removed]
-    regions = polygon_regions(n, common)
-    a, b, c, d = quad
-    q_sides = [s for s in ((a, b), (b, c), (c, d), (a, d)) if not is_polygon_side(n, s)]
-    count = len(q_sides) * (len(q_sides) - 1) // 2
-    tri_regions = [set(r) for r in regions if len(r) == 3]
-    for s in q_sides:
-        across = next(r for r in tri_regions if set(s) <= r)
-        for pair in combinations(sorted(across), 2):
-            if pair != s and not is_polygon_side(n, pair):
-                count += 1
-    return count
-
 
 def hexagon_supports(n: int) -> list[tuple[tuple[int, int], ...]]:
     """All diagonal sets whose complement is one hexagonal face plus triangles.
@@ -271,21 +189,26 @@ def hexagon_supports(n: int) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
-def hexagon_census_oracle(n: int) -> tuple[list[int], dict[tuple[int, int], int]]:
+def hexagon_census_oracle(
+    n: int, max_n: int | None = None
+) -> tuple[list[int], dict[tuple[int, int], int]]:
     """Whole-graph hexagon census by support enumeration.
 
     For every support set, marks all vertices (triangulations containing
-    it) and all internal flip edges.  Independent of the dual-tree and
-    quadrilateral-merge routes.
+    it) and all internal flip edges.  Independent of the dual-tree
+    arithmetic of the formula route.
     """
-    ts = enumerate_triangulations(n)
-    g = build_associahedron(n)
-    per_vertex = [0] * len(ts)
+    g = build_associahedron(n, max_n)
+    rows = _id_rows(n)
+    ends, lookup = _diagonal_ids(n)
+    # holds[v, d]: triangulation v contains diagonal d
+    holds = np.zeros((len(rows), len(ends)), dtype=bool)
+    holds[np.arange(len(rows))[:, None], rows] = True
+    per_vertex = [0] * g.vertex_count
     per_edge: dict[tuple[int, int], int] = {}
-    diag_sets = [set(t.diagonals) for t in ts]
     for support in hexagon_supports(n):
-        sset = set(support)
-        keep = [i for i in range(len(ts)) if sset <= diag_sets[i]]
+        ids = [lookup[i - 1, j - 1] for i, j in support]
+        keep = np.flatnonzero(holds[:, ids].all(axis=1)).tolist()
         kset = set(keep)
         for i in keep:
             per_vertex[i] += 1
@@ -297,36 +220,100 @@ def hexagon_census_oracle(n: int) -> tuple[list[int], dict[tuple[int, int], int]
 
 
 # ---------------------------------------------------------------------------
+# formula route: array arithmetic on the flip pass
+
+def _is_diagonal(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """1 where the chord xy (0-based, x != y) is a diagonal, 0 where it is a side."""
+    gap = np.abs(x.astype(np.int64) - y)
+    return ((gap != 1) & (gap != n - 1)).astype(np.int64)
+
+
+def _degree(n: int, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Dual-tree degree of each triangle xyz on a diagonal xy: its diagonal sides."""
+    return 1 + _is_diagonal(n, x, z) + _is_diagonal(n, y, z)
+
+
+def _edge_counts(target: np.ndarray, counts: np.ndarray) -> dict[tuple[int, int], int]:
+    """counts[v, i] keyed by its flip edge (v, target[v, i]), each edge once, sorted."""
+    u, i = np.nonzero(np.arange(len(target))[:, None] < target)
+    v, c = target[u, i], counts[u, i]
+    order = np.lexsort((v, u))
+    return dict(zip(zip(u[order].tolist(), v[order].tolist()), c[order].tolist()))
+
+
+def ear_counts(n: int, max_n: int | None = None) -> tuple[int, ...]:
+    """t1 of every triangulation of the n-gon, in vertex order.
+
+    t1 is the number of polygon vertices that no diagonal touches; for
+    n >= 4 each is the tip of one ear, so t1 equals ear_count.
+    """
+    _check_range(n, max_n)
+    rows = _id_rows(n)
+    ends, _ = _diagonal_ids(n)
+    touched = np.zeros((len(rows), n), dtype=bool)
+    touched[np.arange(len(rows))[:, None, None], ends[rows]] = True
+    return tuple((n - touched.sum(axis=1)).tolist())
+
+
+# ---------------------------------------------------------------------------
 # report builders
 
-def pentagon_census(n: int, oracle: bool = False, limit: int | None = None) -> CensusReport:
+def pentagon_census(
+    n: int, oracle: bool = False, limit: int | None = None, max_n: int | None = None
+) -> CensusReport:
+    """5-cycles through each vertex and each edge of the flip graph.
+
+    Through the flip edge of ab: the diagonal sides of the quadrilateral
+    apbq, d_p + d_q - 2.  Through a vertex: the sum of C(d, 2) over its
+    dual tree, which is half the sum of its edges' counts.
+    """
     if n < 5:
         raise InvalidInputError("pentagon census needs n >= 5")
-    ts = enumerate_triangulations(n)
-    g = build_associahedron(n)
-    per_vertex = tuple(pentagon_count_vertex_formula(t) for t in ts)
-    per_edge = {(u, v): pentagon_count_edge(ts[u], ts[v]) for u, v in g.edges()}
+    _check_range(n, max_n)
+    _, a, b, p, q, target = _flip_pass(n)
+    edge = _degree(n, a, b, p) + _degree(n, a, b, q) - 2
+    per_vertex = tuple((edge.sum(axis=1) // 2).tolist())
     o_vertex = o_edge = None
     if oracle:
+        g = build_associahedron(n, max_n)
         adj = g.adjacency_sets()
         o_vertex = tuple(
-            pentagon_count_vertex_oracle(g, v, limit, adj) for v in range(len(ts))
+            pentagon_count_vertex_oracle(g, v, limit, adj) for v in range(g.vertex_count)
         )
         o_edge = {
             (u, v): pentagon_count_edge_oracle(g, u, v, limit, adj) for u, v in g.edges()
         }
-    return CensusReport(n, "pentagon", per_vertex, per_edge, o_vertex, o_edge)
+    return CensusReport(n, "pentagon", per_vertex, _edge_counts(target, edge), o_vertex, o_edge)
 
 
-def hexagon_census(n: int, oracle: bool = False) -> CensusReport:
+def hexagon_census(n: int, oracle: bool = False, max_n: int | None = None) -> CensusReport:
+    """Hexagon-flip subgraphs through each vertex and each edge of the flip graph.
+
+    Through a vertex: the 4-node subtrees of its dual tree, paths
+    (d_x - 1)(d_y - 1) per tree edge plus one star per triangle of degree
+    3.  Through the flip edge of ab, whose quadrilateral apbq has c
+    diagonal sides: C(c, 2) merges with two triangles across distinct
+    sides, plus, per diagonal side xy, one merge with each further
+    diagonal side of the triangle xyz across it.
+    """
     if n < 6:
         raise InvalidInputError("hexagon census needs n >= 6")
-    ts = enumerate_triangulations(n)
-    g = build_associahedron(n)
-    per_vertex = tuple(sum(hexagon_count_vertex_formula(t)) for t in ts)
-    per_edge = {(u, v): hexagon_count_edge_bounds(ts[u], ts[v]) for u, v in g.edges()}
+    _check_range(n, max_n)
+    masks, a, b, p, q, target = _flip_pass(n)
+    dp, dq = _degree(n, a, b, p), _degree(n, a, b, q)
+    stars = ((dp == 3).sum(axis=1) + (dq == 3).sum(axis=1)) // 3  # seen once per side
+    per_vertex = tuple((((dp - 1) * (dq - 1)).sum(axis=1) + stars).tolist())
+    c = dp + dq - 2
+    edge = c * (c - 1) // 2
+    bit = (1 << np.arange(n)).astype(masks.dtype)
+    r = np.arange(len(masks))[:, None]
+    for x, y, own in ((a, p, b), (p, b, a), (b, q, a), (q, a, b)):
+        # the far apex z is the common neighbour of x and y other than own;
+        # a polygon side has none, and frexp(0) gives z = -1
+        z = np.frexp((masks[r, x] & masks[r, y]) ^ bit[own])[1] - 1
+        edge += _is_diagonal(n, x, y) * (_degree(n, x, y, z) - 1)
     o_vertex = o_edge = None
     if oracle:
-        ov, oe = hexagon_census_oracle(n)
+        ov, oe = hexagon_census_oracle(n, max_n)
         o_vertex, o_edge = tuple(ov), oe
-    return CensusReport(n, "hexagon", per_vertex, per_edge, o_vertex, o_edge)
+    return CensusReport(n, "hexagon", per_vertex, _edge_counts(target, edge), o_vertex, o_edge)

@@ -20,7 +20,6 @@ from . import bounds, census, certify, spectra, walk
 from .errors import CapacityError, ConvergenceError, InvalidInputError
 from .flipgraph import build_associahedron, write_edge_list
 from .reference import LAMBDA_2_TABLE, LAMBDA_MIN_TABLE
-from .triangulations import ear_count, enumerate_triangulations
 
 EXIT_OK = 0
 EXIT_CLAIM = 1
@@ -130,9 +129,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_census(args) -> int:
     fh = io.StringIO()
-    ts = enumerate_triangulations(args.n, args.max_n)
-    pent = census.pentagon_census(args.n, oracle=args.oracle)
-    hexa = census.hexagon_census(args.n, oracle=args.oracle) if args.n >= 6 else None
+    t1 = census.ear_counts(args.n, args.max_n)
+    pent = census.pentagon_census(args.n, oracle=args.oracle, max_n=args.max_n)
+    hexa = census.hexagon_census(args.n, args.oracle, args.max_n) if args.n >= 6 else None
     if args.edges:
         if args.oracle:
             fh.write("u,v,pentagon_count,pentagon_oracle,hexagon_count,hexagon_oracle\n")
@@ -151,15 +150,15 @@ def cmd_census(args) -> int:
             fh.write("vertex_index,t1,pentagon_formula,pentagon_oracle,hexagon_total,hexagon_oracle\n")
         else:
             fh.write("vertex_index,t1,pentagon_formula,hexagon_total\n")
-        for i, t in enumerate(ts):
+        for i, ears in enumerate(t1):
             pf = pent.per_vertex[i]
             hx = hexa.per_vertex[i] if hexa else 0
             if args.oracle:
                 po = pent.oracle_per_vertex[i]
                 ho = hexa.oracle_per_vertex[i] if hexa else 0
-                fh.write(f"{i},{ear_count(t)},{pf},{po},{hx},{ho}\n")
+                fh.write(f"{i},{ears},{pf},{po},{hx},{ho}\n")
             else:
-                fh.write(f"{i},{ear_count(t)},{pf},{hx}\n")
+                fh.write(f"{i},{ears},{pf},{hx}\n")
     _emit(args, fh.getvalue())
     return EXIT_OK
 

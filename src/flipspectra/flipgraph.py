@@ -3,8 +3,9 @@
 Storage is flat compressed adjacency (offsets + sorted neighbor array),
 which keeps matrix-vector products cache friendly.  The flip graph is built
 from an array encoding of the triangulations, one row of diagonal ids each,
-in one vectorised flip pass.  Besides the flip graph itself the module
-builds box products, induced subgraphs and diagonal slices.
+in one vectorised flip pass, which the census also reads.  Besides the
+flip graph itself the module builds box products, induced subgraphs and
+diagonal slices.
 """
 
 from __future__ import annotations
@@ -157,32 +158,47 @@ def _id_rows(n: int) -> np.ndarray:
     return rows
 
 
+def _flip_pass(n: int) -> tuple[np.ndarray, ...]:
+    """Every flip of every triangulation of the n-gon: (masks, a, b, p, q, target).
+
+    Row r is _id_rows(n)[r], and masks[r, v] has bit u set when uv is a side
+    or a diagonal of it.  Flipping slot i of row r replaces the diagonal
+    a[r, i]-b[r, i] by p[r, i]-q[r, i], the apexes of the two triangles on
+    it, and reaches row target[r, i].  Polygon vertices are 0-based.  The
+    range of n is the caller's to check.
+    """
+    rows = _id_rows(n)
+    ends, lookup = _diagonal_ids(n)
+    count, k = rows.shape
+    bit = (1 << np.arange(n)).astype(np.min_scalar_type(1 << (n - 1)))
+    masks = np.tile(np.roll(bit, 1) | np.roll(bit, -1), (count, 1))
+    r = np.arange(count)
+    a, b = ends.astype(np.uint8)[rows].transpose(2, 0, 1)
+    for i in range(k):
+        masks[r, a[:, i]] |= bit[b[:, i]]
+        masks[r, b[:, i]] |= bit[a[:, i]]
+    p, q = np.empty((2, count, k), dtype=np.uint8)
+    target = np.empty((count, k), dtype=np.int64)
+    for i in range(k):
+        # the common neighbours of a and b are the apexes of the two triangles
+        # on ab; the flip replaces ab by the chord p-q joining them
+        common = masks[r, a[:, i]] & masks[r, b[:, i]]
+        q[:, i] = np.frexp(common)[1] - 1
+        p[:, i] = np.frexp(common ^ bit[q[:, i]])[1] - 1
+        flipped = rows.copy()
+        flipped[:, i] = lookup[p[:, i], q[:, i]]
+        flipped.sort(axis=1)
+        target[:, i] = np.searchsorted(_row_keys(rows), _row_keys(flipped))
+    return masks, a, b, p, q, target
+
+
 @lru_cache(maxsize=32)
 def _associahedron_cached(n: int) -> Graph:
     # range validation happens in build_associahedron
     rows = _id_rows(n)
-    ends, lookup = _diagonal_ids(n)
+    ends, _ = _diagonal_ids(n)
     count, k = rows.shape
-    # masks[r, v] has bit u set when uv is a side or a diagonal of row r
-    bit = (1 << np.arange(n)).astype(np.min_scalar_type(1 << (n - 1)))
-    masks = np.tile(np.roll(bit, 1) | np.roll(bit, -1), (count, 1))
-    r = np.arange(count)
-    for i in range(k):
-        a, b = ends[rows[:, i]].T
-        masks[r, a] |= bit[b]
-        masks[r, b] |= bit[a]
-    nbrs = np.empty((count, k), dtype=np.int64)
-    for i in range(k):
-        a, b = ends[rows[:, i]].T
-        # the common neighbours of a and b are the apexes of the two triangles
-        # on ab; the flip replaces ab by the chord p-q joining them
-        common = masks[r, a] & masks[r, b]
-        q = np.frexp(common)[1] - 1
-        p = np.frexp(common ^ bit[q])[1] - 1
-        flipped = rows.copy()
-        flipped[:, i] = lookup[p, q]
-        flipped.sort(axis=1)
-        nbrs[:, i] = np.searchsorted(_row_keys(rows), _row_keys(flipped))
+    nbrs = _flip_pass(n)[-1]
     nbrs.sort(axis=1)
     names = np.array([f"{i + 1}-{j + 1}" for i, j in ends.tolist()], dtype=object)
     labels = tuple(map(",".join, names[rows].tolist()))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .errors import InvalidInputError, NotPresentError, RangeError
@@ -45,11 +44,6 @@ def catalan(m: int) -> int:
 def normalize_diagonal(d: Iterable[int]) -> Diagonal:
     i, j = d
     return (i, j) if i < j else (j, i)
-
-
-def is_polygon_side(n: int, d: Iterable[int]) -> bool:
-    i, j = normalize_diagonal(d)
-    return j - i == 1 or (i, j) == (1, n)
 
 
 def validate_diagonal(n: int, d: Iterable[int]) -> Diagonal:
@@ -135,30 +129,34 @@ def fan_triangulation(n: int, apex: int = 1) -> Triangulation:
     return Triangulation(n, tuple(diags))
 
 
-@lru_cache(maxsize=None)
-def _range_diagonal_sets(m: int) -> tuple[tuple[Diagonal, ...], ...]:
+def _range_diagonal_sets(m: int, memo: dict | None = None) -> tuple[tuple[Diagonal, ...], ...]:
     """Diagonal sets of all triangulations of a polygon on 0-based labels 0..m-1.
 
     Recursion on the triangle containing the closing side (0, m-1): choose
     its apex k and triangulate the two sub-polygons independently.  Each
     diagonal is emitted exactly once, by the call whose closing side it cuts.
+    The recursion shares its sub-polygon results through ``memo``, which a
+    top-level call starts empty, so none outlives that call.
     """
     if m < 3:
         return ((),)
-    out = []
-    for k in range(1, m - 1):
-        closing: tuple[Diagonal, ...] = ()
-        if k >= 2:
-            closing += ((0, k),)
-        if m - 1 - k >= 2:
-            closing += ((k, m - 1),)
-        right = [
-            tuple((i + k, j + k) for i, j in ds) for ds in _range_diagonal_sets(m - k)
-        ]
-        for left in _range_diagonal_sets(k + 1):
-            for shifted in right:
-                out.append(left + shifted + closing)
-    return tuple(out)
+    memo = {} if memo is None else memo
+    if m not in memo:
+        out = []
+        for k in range(1, m - 1):
+            closing: tuple[Diagonal, ...] = ()
+            if k >= 2:
+                closing += ((0, k),)
+            if m - 1 - k >= 2:
+                closing += ((k, m - 1),)
+            right = [
+                tuple((i + k, j + k) for i, j in ds) for ds in _range_diagonal_sets(m - k, memo)
+            ]
+            for left in _range_diagonal_sets(k + 1, memo):
+                for shifted in right:
+                    out.append(left + shifted + closing)
+        memo[m] = tuple(out)
+    return memo[m]
 
 
 def enumerate_triangulations(n: int, max_n: int | None = None) -> list[Triangulation]:

@@ -1,44 +1,55 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from flipspectra.census import (
     count_pentagons_total,
+    ear_counts,
     hexagon_census,
     hexagon_census_oracle,
-    hexagon_count_edge_bounds,
-    hexagon_count_vertex_formula,
     hexagon_count_vertex_oracle,
     hexagon_supports,
     pentagon_census,
-    pentagon_count_edge,
     pentagon_count_edge_oracle,
-    pentagon_count_vertex_formula,
     pentagon_count_vertex_oracle,
 )
 from flipspectra.errors import CapacityError, InvalidInputError
 from flipspectra.flipgraph import build_associahedron, cycle_graph, petersen_graph
 from flipspectra.triangulations import (
     Triangulation,
+    dual_tree,
     ear_count,
     enumerate_triangulations,
     fan_triangulation,
 )
 
 
+def _index(t: Triangulation) -> int:
+    """The flip-graph vertex (census row) of t."""
+    return build_associahedron(t.n).labels.index(t.code())
+
+
 def test_pentagon_vertex_formula_examples():
-    assert all(pentagon_count_vertex_formula(t) == 1 for t in enumerate_triangulations(5))
+    assert pentagon_census(5).per_vertex == (1,) * 5
     star = Triangulation(6, ((1, 3), (3, 5), (1, 5)))
-    assert pentagon_count_vertex_formula(star) == 3
-    assert pentagon_count_vertex_formula(fan_triangulation(6)) == 2
+    per_vertex = pentagon_census(6).per_vertex
+    assert per_vertex[_index(star)] == 3
+    assert per_vertex[_index(fan_triangulation(6))] == 2
 
 
 @pytest.mark.parametrize("n", range(5, 9))
 def test_pentagon_vertex_formula_identity(n):
-    for t in enumerate_triangulations(n):
-        c = pentagon_count_vertex_formula(t)
+    rep = pentagon_census(n)
+    for c, t in zip(rep.per_vertex, enumerate_triangulations(n), strict=True):
         assert c == n - 6 + ear_count(t)
+        assert c == sum(comb(d, 2) for d in dual_tree(t).degrees)
         assert c >= n - 4
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_ear_counts_match_dual_tree_leaves(n):
+    assert ear_counts(n) == tuple(ear_count(t) for t in enumerate_triangulations(n))
 
 
 def test_pentagon_vertex_oracle_examples():
@@ -68,56 +79,45 @@ def test_petersen_five_cycles_against_subset_enumeration():
 @pytest.mark.parametrize("n", range(5, 9))
 def test_pentagon_vertex_formula_matches_oracle(n):
     g = build_associahedron(n)
-    ts = enumerate_triangulations(n)
-    for i, t in enumerate(ts):
-        assert pentagon_count_vertex_formula(t) == pentagon_count_vertex_oracle(g, i)
+    rep = pentagon_census(n)
+    assert len(rep.per_vertex) == g.vertex_count
+    for v, c in enumerate(rep.per_vertex):
+        assert c == pentagon_count_vertex_oracle(g, v)
 
 
 def test_pentagon_edge_examples():
-    ts5 = enumerate_triangulations(5)
-    g5 = build_associahedron(5)
-    for u, v in g5.edges():
-        assert pentagon_count_edge(ts5[u], ts5[v]) == 1
+    assert pentagon_census(5).per_edge == {(u, v): 1 for u, v in build_associahedron(5).edges()}
     # hexagon edge between the two triangulations sharing (1,3) and (1,5)
     t1 = Triangulation(6, ((1, 3), (1, 4), (1, 5)))
     t2 = Triangulation(6, ((1, 3), (3, 5), (1, 5)))
-    assert pentagon_count_edge(t1, t2) == 2
+    u, v = sorted((_index(t1), _index(t2)))
+    assert pentagon_census(6).per_edge[(u, v)] == 2
 
 
 @pytest.mark.parametrize("n", range(5, 9))
 def test_pentagon_edge_formula_matches_oracle(n):
     g = build_associahedron(n)
-    ts = enumerate_triangulations(n)
-    for u, v in g.edges():
-        c = pentagon_count_edge(ts[u], ts[v])
+    per_edge = pentagon_census(n).per_edge
+    assert list(per_edge) == list(g.edges())
+    for (u, v), c in per_edge.items():
         assert 1 <= c <= 4
         assert c == pentagon_count_edge_oracle(g, u, v)
-
-
-def test_pentagon_edge_rejects_non_adjacent():
-    ts = enumerate_triangulations(6)
-    t1 = Triangulation(6, ((1, 3), (1, 4), (1, 5)))
-    t2 = Triangulation(6, ((2, 4), (2, 5), (2, 6)))
-    with pytest.raises(InvalidInputError):
-        pentagon_count_edge(t1, t2)
 
 
 @pytest.mark.parametrize("n", range(5, 9))
 def test_pentagon_aggregation_identity(n):
     # every 5-cycle is counted once per each of its 5 vertices
     g = build_associahedron(n)
-    ts = enumerate_triangulations(n)
     total = count_pentagons_total(g)
-    assert sum(pentagon_count_vertex_formula(t) for t in ts) == 5 * total
+    assert sum(pentagon_census(n).per_vertex) == 5 * total
 
 
 def test_hexagon_vertex_formula_examples():
-    for t in enumerate_triangulations(6):
-        assert sum(hexagon_count_vertex_formula(t)) == 1
-    assert hexagon_count_vertex_formula(fan_triangulation(7)) == (2, 0)
+    assert hexagon_census(6).per_vertex == (1,) * 14
+    assert hexagon_census(7).per_vertex[_index(fan_triangulation(7))] == 2
     # a path dual tree realizes the minimum n - 5
     snake8 = next(t for t in enumerate_triangulations(8) if ear_count(t) == 2)
-    assert sum(hexagon_count_vertex_formula(snake8)) == 3
+    assert hexagon_census(8).per_vertex[_index(snake8)] == 3
 
 
 def test_hexagon_vertex_oracle_examples():
@@ -133,31 +133,24 @@ def test_hexagon_vertex_oracle_checks_n():
 
 @pytest.mark.parametrize("n", range(6, 9))
 def test_hexagon_vertex_formula_matches_oracle(n):
-    for t in enumerate_triangulations(n):
-        p4, star = hexagon_count_vertex_formula(t)
-        total = p4 + star
+    rep = hexagon_census(n)
+    for total, t in zip(rep.per_vertex, enumerate_triangulations(n), strict=True):
         assert total == hexagon_count_vertex_oracle(n, t)
         assert total >= n - 5
 
 
 def test_hexagon_edge_single_class_n6():
-    ts = enumerate_triangulations(6)
-    g = build_associahedron(6)
-    for u, v in g.edges():
-        assert hexagon_count_edge_bounds(ts[u], ts[v]) == 1
+    assert hexagon_census(6).per_edge == {(u, v): 1 for u, v in build_associahedron(6).edges()}
 
 
 @pytest.mark.parametrize("n", range(6, 9))
 def test_hexagon_edge_matches_support_oracle(n):
-    ts = enumerate_triangulations(n)
-    g = build_associahedron(n)
+    rep = hexagon_census(n)
     per_vertex, per_edge = hexagon_census_oracle(n)
-    for u, v in g.edges():
-        c = hexagon_count_edge_bounds(ts[u], ts[v])
-        assert 1 <= c <= 14
-        assert c == per_edge[(u, v)]
-    for i, t in enumerate(ts):
-        assert sum(hexagon_count_vertex_formula(t)) == per_vertex[i]
+    assert list(rep.per_edge) == list(build_associahedron(n).edges())
+    assert rep.per_edge == per_edge
+    assert all(1 <= c <= 14 for c in per_edge.values())
+    assert list(rep.per_vertex) == per_vertex
 
 
 def test_hexagon_supports_counts():

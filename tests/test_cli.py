@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flipspectra.cli import main
-from flipspectra.triangulations import enumerate_triangulations
+from flipspectra.triangulations import ear_count, enumerate_triangulations
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +100,34 @@ def test_census_edge_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "u,v,pentagon_count,hexagon_count"
     assert len(lines) == 22  # 21 edges + header
+
+
+@pytest.mark.parametrize("n", range(6, 9))
+def test_census_oracle_columns_agree(capsys, n):
+    code, out, _ = run_cli(capsys, "census", "--n", str(n), "--oracle")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    ts = enumerate_triangulations(n)
+    assert [int(row[0]) for row in rows] == list(range(len(ts)))
+    for (_, t1, pf, po, hx, ho), t in zip(rows, ts):
+        assert pf == po and hx == ho
+        assert int(t1) == ear_count(t)
+    code, out, _ = run_cli(capsys, "census", "--n", str(n), "--oracle", "--edges")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == len(ts) * (n - 3) // 2
+    for _, _, pc, po, hc, ho in rows:
+        assert pc == po and hc == ho
+
+
+def test_census_honours_max_n(capsys, monkeypatch):
+    monkeypatch.setenv("FLIPSPECTRA_MAX_N", "5")
+    code, out, _ = run_cli(capsys, "census", "--n", "6", "--max-n", "6", "--oracle")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 15
+    code, out, err = run_cli(capsys, "census", "--n", "6")
+    assert code == 2
+    assert out == "" and "input error" in err
 
 
 def test_bounds_reports(capsys):
@@ -340,7 +368,11 @@ def _argv(draw, root):
             "--max-iterations", str(draw(st.integers(-3, 50))),
         ]
     if command == "census":
-        return [command, *n, *flag("--oracle"), *flag("--edges")]
+        max_n = draw(st.one_of(st.none(), st.integers(-1, 8)))
+        return [
+            command, *n, *flag("--oracle"), *flag("--edges"),
+            *([] if max_n is None else ["--max-n", str(max_n)]),
+        ]
     if command == "bounds":
         shape = draw(st.sampled_from(["suite", "n", "copies"]))
         if shape == "suite":

@@ -91,15 +91,19 @@ def test_array_build_matches_flip_oracle(n):
     assert g.degree == want.degree == n - 3
 
 
-def test_build_stops_where_uint8_ids_run_out():
+def test_build_stops_where_uint8_ids_run_out(monkeypatch):
     # 24 * 21 / 2 = 252 diagonals still fit; the 25-gon's 275 do not
     ends, lookup = fg._diagonal_ids(24)
     assert len(ends) == 252 and lookup[21, 23] == 251
-    before = tri._range_diagonal_sets.cache_info().currsize
+    calls = []
+    enumerate_sets = tri._range_diagonal_sets
+    monkeypatch.setattr(
+        tri, "_range_diagonal_sets", lambda *args: calls.append(args) or enumerate_sets(*args)
+    )
     with pytest.raises(CapacityError):
         build_associahedron(25, max_n=25)
     # the guard comes before any enumeration
-    assert tri._range_diagonal_sets.cache_info().currsize == before
+    assert calls == []
 
 
 @settings(max_examples=40, deadline=None)
