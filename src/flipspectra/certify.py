@@ -171,17 +171,21 @@ def _claim_slice_isomorphism(n_max: int) -> ClaimResult:
     )
 
 
-def _claim_collection_bounds(n_max: int) -> ClaimResult:
-    suite = [("K4/K3", complete_graph(4), complete_graph(3)), ("Petersen/C5", petersen_graph(), cycle_graph(5))]
+def _claim_collection_bounds(n_max: int, lam_min: dict[int, float]) -> ClaimResult:
+    suite = [
+        ("K4/K3", complete_graph(4), complete_graph(3), None),
+        ("Petersen/C5", petersen_graph(), cycle_graph(5), None),
+    ]
     for n in range(5, min(n_max, 9) + 1):
-        suite.append((f"A{n}/C5", build_associahedron(n), cycle_graph(5)))
+        suite.append((f"A{n}/C5", build_associahedron(n), cycle_graph(5), lam_min[n]))
     for seed in range(10):
         g = random_regular_graph(20, 3, seed=seed)
+        exact = spectra.dense_spectrum(g).lambda_min
         for label, pat in (("K3", complete_graph(3)), ("C5", cycle_graph(5)), ("C7", cycle_graph(7))):
-            suite.append((f"rand20-seed{seed}/{label}", g, pat))
+            suite.append((f"rand20-seed{seed}/{label}", g, pat, exact))
     bad = []
-    for label, g, pat in suite:
-        rep = bounds.certify_collection_bound(g, pat, name=label)
+    for label, g, pat, exact in suite:
+        rep = bounds.certify_collection_bound(g, pat, exact_lambda_min=exact, name=label)
         if not rep.satisfied:
             bad.append(label)
     return ClaimResult(
@@ -214,13 +218,13 @@ def run_certification(n_max: int, seed: int = 0) -> list[ClaimResult]:
         _claim_pentagon_census(n_max),
         _claim_hexagon_census(n_max),
         _claim_slice_isomorphism(n_max),
-        _claim_collection_bounds(n_max),
     ]
     lam_min = _lambda_min_values(min(n_max, 12), seed=seed)
     lam2 = {
         n: spectra.lambda_2(build_associahedron(n), seed=seed).value
         for n in range(5, min(n_max, 12) + 1)
     }
+    results.append(_claim_collection_bounds(n_max, lam_min))
     results.append(_claim_table_match(lam_min, lam2))
     results.append(_claim_lower_bound(lam_min))
     results.append(_claim_subadditivity(lam_min))

@@ -65,6 +65,22 @@ class Graph:
         k = int(np.searchsorted(row, v))
         return k < len(row) and row[k] == v
 
+    def neighbor_pairs(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(i, w) for every neighbour w of every vertex vs[i], row after row."""
+        counts = self.offsets[vs + 1] - self.offsets[vs]
+        i = np.repeat(np.arange(len(vs)), counts)
+        shift = np.repeat(self.offsets[vs] + counts - np.cumsum(counts), counts)
+        return i, self.neighbors[np.arange(len(i)) + shift]
+
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(u, v) over every directed edge, in the order of the neighbour array."""
+        return np.repeat(np.arange(self.vertex_count), self.degrees()), self.neighbors
+
+    def arc_keys(self) -> np.ndarray:
+        """Every directed edge (u, v) as the key u * vertex_count + v, ascending."""
+        u, v = self.arcs()
+        return u * self.vertex_count + v
+
     def adjacency_sets(self) -> list[set[int]]:
         return [set(map(int, self.neighbors_of(u))) for u in range(self.vertex_count)]
 
@@ -83,30 +99,43 @@ def from_edges(
     """Build a Graph from an edge list; duplicates collapse, loops are rejected."""
     if vertex_count < 0:
         raise InvalidInputError("vertex_count must be nonnegative")
-    pairs = set()
+    pairs = []
     for u, v in edges:
         u, v = int(u), int(v)
         if u == v:
             raise InvalidInputError(f"loop at vertex {u}")
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise InvalidInputError(f"edge ({u},{v}) outside 0..{vertex_count - 1}")
-        pairs.add((u, v) if u < v else (v, u))
-    deg = np.zeros(vertex_count, dtype=np.int64)
-    for u, v in pairs:
-        deg[u] += 1
-        deg[v] += 1
-    offsets = np.zeros(vertex_count + 1, dtype=np.int64)
+        pairs.append((u, v))
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return _from_arcs(vertex_count, ends.ravel(), ends[:, ::-1].ravel(), labels)
+
+
+def _from_arcs(
+    vertex_count: int, src: np.ndarray, dst: np.ndarray, labels: tuple[str, ...] | None = None
+) -> Graph:
+    """Graph on the directed edges src[i] -> dst[i], which must list both directions."""
+    keys = np.unique(src * vertex_count + dst)
+    src, dst = np.divmod(keys, max(vertex_count, 1))
+    return _csr_graph(np.bincount(src, minlength=vertex_count), dst, labels)
+
+
+def _csr_graph(
+    deg: np.ndarray, neighbors: np.ndarray, labels: tuple[str, ...] | None = None
+) -> Graph:
+    """Graph from each vertex's degree and its sorted neighbours, row after row."""
+    offsets = np.zeros(len(deg) + 1, dtype=np.int64)
     np.cumsum(deg, out=offsets[1:])
-    nbrs = np.empty(int(offsets[-1]), dtype=np.int64)
-    cursor = offsets[:-1].copy()
-    # lexicographic insertion leaves every row sorted ascending
-    for u, v in sorted(pairs):
-        nbrs[cursor[u]] = v
-        cursor[u] += 1
-        nbrs[cursor[v]] = u
-        cursor[v] += 1
-    uniform = int(deg[0]) if vertex_count > 0 and bool((deg == deg[0]).all()) else None
-    return Graph(offsets, nbrs, labels, uniform)
+    uniform = int(deg[0]) if len(deg) and bool((deg == deg[0]).all()) else None
+    return Graph(offsets, neighbors, labels, uniform)
+
+
+def _in_sorted(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Which entries of q occur in the ascending array keys."""
+    at = np.searchsorted(keys, q)
+    hit = at < len(keys)
+    hit[hit] = keys[at[hit]] == q[hit]
+    return hit
 
 
 @lru_cache(maxsize=32)
@@ -230,14 +259,14 @@ def box_product(g: Graph, h: Graph, max_vertices: int | None = None) -> Graph:
     if nv > cap:
         raise CapacityError(f"box product on {nv} vertices exceeds the cap of {cap}")
     m = h.vertex_count
-    edges = []
-    for a1, a2 in g.edges():
-        for b in range(m):
-            edges.append((a1 * m + b, a2 * m + b))
-    for b1, b2 in h.edges():
-        for a in range(g.vertex_count):
-            edges.append((a * m + b1, a * m + b2))
-    return from_edges(nv, edges)
+    g_src, g_dst = g.arcs()
+    h_src, h_dst = h.arcs()
+    b = np.arange(m)
+    a = np.arange(g.vertex_count)[:, None] * m
+    # g's arcs in every layer b, then h's arcs in every layer a
+    src = np.concatenate([(g_src[:, None] * m + b).ravel(), (a + h_src).ravel()])
+    dst = np.concatenate([(g_dst[:, None] * m + b).ravel(), (a + h_dst).ravel()])
+    return _from_arcs(nv, src, dst)
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -246,18 +275,18 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
     Returns (subgraph, kept) where kept[new_index] = old_index; new indices
     follow ascending old-index order.
     """
-    kept = sorted({int(v) for v in keep})
-    if kept and (kept[0] < 0 or kept[-1] >= g.vertex_count):
+    kept = np.unique(np.fromiter(keep, dtype=np.int64))
+    if len(kept) and (kept[0] < 0 or kept[-1] >= g.vertex_count):
         raise InvalidInputError("keep contains an out-of-range vertex index")
-    pos = {old: new for new, old in enumerate(kept)}
-    edges = []
-    for old in kept:
-        for w in g.neighbors_of(old):
-            w = int(w)
-            if old < w and w in pos:
-                edges.append((pos[old], pos[w]))
+    new = np.full(g.vertex_count, -1, dtype=np.int64)
+    new[kept] = np.arange(len(kept))
+    i, w = g.neighbor_pairs(kept)
+    inside = new[w] >= 0
+    # the relabelling keeps the order, so each row stays sorted
+    deg = np.bincount(i[inside], minlength=len(kept))
+    kept = tuple(kept.tolist())
     labels = tuple(g.labels[old] for old in kept) if g.labels is not None else None
-    return from_edges(len(kept), edges, labels), tuple(kept)
+    return _csr_graph(deg, new[w[inside]], labels), kept
 
 
 def diagonal_slice(n: int, d: Iterable[int], max_n: int | None = None) -> Graph:
@@ -343,6 +372,9 @@ def validate_regular(g: Graph, d: int) -> bool:
 
 
 def is_connected(g: Graph) -> bool:
+    # A numpy frontier search is about 8x faster at n = 11, but the array
+    # operations it is first in a process to use lift a spectrum run's peak
+    # RSS by about 0.15 MB, more than the time is worth there.
     nv = g.vertex_count
     if nv <= 1:
         return True
@@ -361,11 +393,13 @@ def is_connected(g: Graph) -> bool:
 
 
 def contains_triangle(g: Graph) -> bool:
-    adj = g.adjacency_sets()
-    for u, v in g.edges():
-        if adj[u] & adj[v]:
-            return True
-    return False
+    """Whether an edge uv (u < v) and a neighbour w > v of v have uw as an edge too."""
+    keys = g.arc_keys()
+    u, v = g.arcs()
+    u, v = u[u < v], v[u < v]
+    i, w = g.neighbor_pairs(v)
+    above = w > v[i]
+    return bool(_in_sorted(keys, u[i[above]] * g.vertex_count + w[above]).any())
 
 
 def cycle_graph(m: int) -> Graph:

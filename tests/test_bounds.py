@@ -1,16 +1,21 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flipspectra import bounds
 from flipspectra.bounds import (
+    CollectionStats,
+    _pattern_order,
     assoc_hexagon_lower_bound,
     assoc_lower_bound,
     assoc_upper_bound,
     certify_collection_bound,
     chromatic_lower_bound,
     collection_stats,
+    collection_stats_from_copies,
     flipgraph_bound_reports,
     limit_bracket,
     mixing_bounds,
@@ -23,10 +28,179 @@ from flipspectra.flipgraph import (
     build_associahedron,
     complete_graph,
     cycle_graph,
+    from_edges,
+    path_graph,
     petersen_graph,
     random_regular_graph,
 )
 from flipspectra.spectra import cycle_spectrum, dense_spectrum
+
+
+def oracle_collection_stats(g, pattern):
+    """Every embedding by recursive search, deduplicated on its mapped edge set.
+
+    Independent of the symmetry conditions: it finds each copy once per
+    automorphism of the pattern and keeps one.
+    """
+    adj_g = g.adjacency_sets()
+    adj_k = pattern.adjacency_sets()
+    deg_g = [len(a) for a in adj_g]
+    order = _pattern_order(adj_k)
+    pos_in_order = {v: i for i, v in enumerate(order)}
+    back_edges = [
+        [pos_in_order[u] for u in adj_k[order[i]] if pos_in_order[u] < i]
+        for i in range(len(order))
+    ]
+    k_edges = [(u, v) for u in range(pattern.vertex_count) for v in adj_k[u] if u < v]
+    copies = set()
+    mapping = [-1] * pattern.vertex_count
+    used = [False] * g.vertex_count
+
+    def extend(i):
+        if i == len(order):
+            copies.add(tuple(sorted(
+                (min(mapping[u], mapping[v]), max(mapping[u], mapping[v])) for u, v in k_edges
+            )))
+            return
+        kv = order[i]
+        if back_edges[i]:
+            cands = set(adj_g[mapping[order[back_edges[i][0]]]])
+            for b in back_edges[i][1:]:
+                cands &= adj_g[mapping[order[b]]]
+        else:
+            cands = range(g.vertex_count)
+        for hv in cands:
+            if used[hv] or deg_g[hv] < len(adj_k[kv]):
+                continue
+            mapping[kv] = hv
+            used[hv] = True
+            extend(i + 1)
+            mapping[kv] = -1
+            used[hv] = False
+
+    extend(0)
+    per_vertex = [0] * g.vertex_count
+    per_edge = {}
+    for copy_edges in copies:
+        for w in {x for e in copy_edges for x in e}:
+            per_vertex[w] += 1
+        for e in copy_edges:
+            per_edge[e] = per_edge.get(e, 0) + 1
+    m = min(per_vertex) if per_vertex else 0
+    t = max(per_edge.values()) if per_edge else 0
+    return CollectionStats(m, t, tuple(per_vertex), per_edge, len(copies))
+
+
+def star_graph(leaves):
+    return from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def complete_bipartite(a, b):
+    return from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+PATTERNS = {
+    **{f"C{k}": cycle_graph(k) for k in range(3, 8)},
+    **{f"P{k}": path_graph(k) for k in range(2, 6)},
+    "K4": complete_graph(4),
+    "K1,3": star_graph(3),
+    "K2,3": complete_bipartite(2, 3),
+}
+
+
+def claim_instances():
+    """The collection claim's 37 host/pattern pairs at n_max >= 9."""
+    suite = [("K4/K3", complete_graph(4), complete_graph(3)),
+             ("Petersen/C5", petersen_graph(), cycle_graph(5))]
+    suite += [(f"A{n}/C5", build_associahedron(n), cycle_graph(5)) for n in range(5, 10)]
+    for seed in range(10):
+        g = random_regular_graph(20, 3, seed=seed)
+        suite += [(f"rand{seed}/C{k}", g, cycle_graph(k)) for k in (3, 5, 7)]
+    return suite
+
+
+def automorphism_count(p):
+    edges = set(p.edges())
+    return sum(
+        all((min(s[u], s[v]), max(s[u], s[v])) in edges for u, v in edges)
+        for s in itertools.permutations(range(p.vertex_count))
+    )
+
+
+@pytest.fixture
+def unconditioned(monkeypatch):
+    """collection_stats without the symmetry conditions: it counts embeddings."""
+    monkeypatch.setattr(bounds, "_symmetry_conditions", lambda adj, order: [])
+    bounds._search_plan.cache_clear()
+    yield collection_stats
+    bounds._search_plan.cache_clear()
+
+
+def test_collection_stats_matches_oracle_on_claim_instances():
+    suite = claim_instances()
+    assert len(suite) == 37
+    for label, g, pat in suite:
+        assert collection_stats(g, pat) == oracle_collection_stats(g, pat), label
+
+
+@pytest.mark.parametrize(
+    "n, k", [(10, 5)] + [(n, 6) for n in range(6, 10)]
+)
+def test_collection_stats_matches_oracle_on_flip_graphs(n, k):
+    g = build_associahedron(n)
+    assert collection_stats(g, cycle_graph(k)) == oracle_collection_stats(g, cycle_graph(k))
+
+
+@st.composite
+def small_hosts(draw):
+    if draw(st.booleans()):
+        nv = draw(st.integers(4, 15)) * 2
+        d = draw(st.integers(2, 4))
+        return random_regular_graph(nv, d, seed=draw(st.integers(0, 2**16)))
+    nv = draw(st.integers(1, 30))
+    pairs = st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)).filter(lambda e: e[0] != e[1])
+    return from_edges(nv, draw(st.lists(pairs, max_size=2 * nv)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_hosts(), st.sampled_from(sorted(PATTERNS)))
+def test_collection_stats_matches_oracle_on_random_hosts(g, name):
+    pat = PATTERNS[name]
+    assert collection_stats(g, pat) == oracle_collection_stats(g, pat)
+
+
+@pytest.mark.parametrize("pat", list(PATTERNS.values()) + [petersen_graph(), complete_graph(12)])
+def test_pattern_is_one_copy_of_itself(pat):
+    st_ = collection_stats(pat, pat)
+    assert st_.copy_count == 1
+    assert st_.per_vertex == (1,) * pat.vertex_count
+
+
+@pytest.mark.parametrize("name", sorted(PATTERNS))
+def test_conditions_keep_one_embedding_per_automorphism_class(name, unconditioned):
+    pat = PATTERNS[name]
+    aut = automorphism_count(pat)
+    for g in (pat, random_regular_graph(16, 4, seed=3), build_associahedron(7)):
+        once = oracle_collection_stats(g, pat)
+        every = unconditioned(g, pat)
+        assert every.copy_count == aut * once.copy_count
+        assert every.per_vertex == tuple(aut * c for c in once.per_vertex)
+        assert every.per_edge == {e: aut * c for e, c in once.per_edge.items()}
+
+
+def test_collection_stats_does_not_depend_on_the_split(monkeypatch):
+    cases = [(build_associahedron(8), cycle_graph(5)), (random_regular_graph(20, 3, seed=4), cycle_graph(7)),
+             (from_edges(7, [(0, 1), (1, 2), (3, 4)]), path_graph(2))]
+    want = [collection_stats(g, p) for g, p in cases]
+    monkeypatch.setattr(bounds, "_SPLIT_PAIRS", 1)
+    assert [collection_stats(g, p) for g, p in cases] == want
+
+
+def test_edgeless_pattern_is_rejected():
+    with pytest.raises(InvalidInputError, match="at least one edge"):
+        collection_stats(cycle_graph(5), complete_graph(1))
+    with pytest.raises(InvalidInputError, match="at least one edge"):
+        collection_stats_from_copies(cycle_graph(5), complete_graph(1), [[0]])
 
 
 def test_collection_stats_k4_triangles():
@@ -189,8 +363,6 @@ def test_certify_random_cubic_graphs(seed):
 
 
 def test_collection_stats_from_copies():
-    from flipspectra.bounds import collection_stats_from_copies
-
     g = build_associahedron(5)  # a 5-cycle
     adj = g.adjacency_sets()
     cyc = [0, next(iter(adj[0]))]
@@ -207,8 +379,6 @@ def test_collection_stats_from_copies():
 
 
 def test_collection_from_copies_rejects_non_copy():
-    from flipspectra.bounds import collection_stats_from_copies
-
     p = petersen_graph()
     with pytest.raises(InvalidInputError):
         # outer vertices 0..4 in label order are a 5-cycle, but 0,1,2,3 plus

@@ -267,6 +267,17 @@ def test_missing_copies_file_is_input_error(tmp_path, capsys):
     assert out == "" and "input error" in err
 
 
+@pytest.mark.parametrize("certify", [[], ["--certify"]])
+def test_edgeless_pattern_is_input_error(tmp_path, capsys, certify):
+    empty = tmp_path / "copies.txt"
+    empty.write_text("")
+    code, out, err = run_cli(
+        capsys, "bounds", "--n", "5", "--copies", str(empty), "--pattern", "complete:1", *certify
+    )
+    assert code == 2
+    assert out == "" and "input error" in err
+
+
 def test_malformed_fn_file_is_input_error(tmp_path, capsys):
     fn = tmp_path / "f.txt"
     fn.write_text("abc\n")

@@ -40,6 +40,88 @@ def flip_oracle_graph(n):
     return from_edges(len(ts), edges, labels=tuple(t.code() for t in ts)), ts
 
 
+def csr_oracle(vertex_count, edges):
+    """(offsets, neighbors) from Python neighbour sets, one sorted row per vertex."""
+    rows = [set() for _ in range(vertex_count)]
+    for u, v in edges:
+        rows[u].add(v)
+        rows[v].add(u)
+    offsets = np.cumsum([0] + [len(r) for r in rows])
+    return offsets, np.array([w for r in rows for w in sorted(r)], dtype=np.int64)
+
+
+def box_product_oracle(g, h):
+    m = h.vertex_count
+    edges = [(a1 * m + b, a2 * m + b) for a1, a2 in g.edges() for b in range(m)]
+    edges += [(a * m + b1, a * m + b2) for b1, b2 in h.edges() for a in range(g.vertex_count)]
+    return csr_oracle(g.vertex_count * m, edges)
+
+
+def induced_oracle(g, keep):
+    kept = sorted(set(keep))
+    pos = {old: new for new, old in enumerate(kept)}
+    edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
+    return csr_oracle(len(kept), edges)
+
+
+def contains_triangle_oracle(g):
+    adj = g.adjacency_sets()
+    return any(adj[u] & adj[v] for u, v in g.edges())
+
+
+def same_csr(g, want):
+    offsets, neighbors = want
+    return (
+        np.array_equal(g.offsets, offsets) and g.offsets.dtype == np.int64
+        and np.array_equal(g.neighbors, neighbors) and g.neighbors.dtype == np.int64
+    )
+
+
+@st.composite
+def edge_lists(draw, max_vertices=30):
+    nv = draw(st.integers(0, max_vertices))
+    if nv < 2:
+        return nv, []
+    pair = st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)).filter(lambda e: e[0] != e[1])
+    return nv, draw(st.lists(pair, max_size=draw(st.sampled_from([nv // 2, nv, 3 * nv]))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists())
+def test_from_edges_and_triangle_check_match_oracles(case):
+    nv, edges = case
+    g = from_edges(nv, edges)
+    assert same_csr(g, csr_oracle(nv, edges))
+    assert g.degree == (g.degree_of(0) if nv and len(set(g.degrees())) == 1 else None)
+    assert contains_triangle(g) == contains_triangle_oracle(g)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_array_products_and_slices_match_edge_oracles(n):
+    g = build_associahedron(n)
+    for k in range(3, n):
+        left, right = build_associahedron(k), build_associahedron(n - k + 2)
+        prod = box_product(left, right)
+        assert same_csr(prod, box_product_oracle(left, right))
+        assert prod.degree == n - 4
+        keep = np.flatnonzero(fg._slice_mask(n, (1, k)))
+        sub, kept = induced_subgraph(g, keep)
+        assert same_csr(sub, induced_oracle(g, keep.tolist()))
+        assert kept == tuple(keep.tolist())
+        assert sub.labels == tuple(g.labels[i] for i in kept)
+
+
+def test_products_and_subgraphs_of_irregular_graphs():
+    g = from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    h = path_graph(3)
+    assert same_csr(box_product(g, h), box_product_oracle(g, h))
+    assert box_product(g, h).degree is None
+    assert same_csr(box_product(from_edges(0, []), h), csr_oracle(0, []))
+    for keep in ([], [4], [0, 2, 4], [4, 3, 1, 1]):
+        sub, kept = induced_subgraph(g, keep)
+        assert same_csr(sub, induced_oracle(g, keep)) and kept == tuple(sorted(set(keep)))
+
+
 # A5's vertices in the order of its 5-cycle: 0-1-4-3-2-0
 A5_TO_C5 = np.array([0, 1, 4, 3, 2])
 
