@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Time the flip-graph build layer by layer, each sample in a fresh process.
+
+Usage: python scripts/bench.py --src CHECKOUT/src --label L
+
+For every n = 10..15 and every stage, three fresh Python processes import
+flipspectra from ``--src``, run the stage once and report its seconds and
+their own peak RSS (``resource.getrusage``, the whole process):
+
+* ``rows``: the id-row enumeration, ``flipgraph._id_rows(n)``;
+* ``flip``: the flip pass, ``flipgraph._flip_pass(n)``, on rows already
+  enumerated (untimed) in the same process.  Its ``peak_rss_mb`` is the
+  larger of that setup's peak and the flip pass's own; ``setup_rss_mb``,
+  the peak just before the timed step, tells them apart;
+* ``build``: ``flipgraph.build_associahedron(n)`` from cold.
+
+Only these names are used, so any checkout since the array build can be
+measured.  ``BENCH_<label>.json`` in the repository root holds the
+medians, each run, nproc, the numpy and scipy versions and the thread
+count of every loaded OpenBLAS.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+N_RANGE = range(10, 16)
+K = 3
+ROOT = Path(__file__).resolve().parent.parent
+
+STAGES = {
+    "rows": ("", "fg._id_rows(n)"),
+    "flip": ("fg._id_rows(n)", "fg._flip_pass(n)"),
+    "build": ("", "fg.build_associahedron(n, max_n=n)"),
+}
+
+CHILD = """
+import ctypes, json, resource, sys, time
+import numpy, scipy
+from flipspectra import flipgraph as fg
+
+def rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+def blas_threads():
+    out = {}
+    for path in sorted({l.split()[-1] for l in open("/proc/self/maps") if "openblas" in l}):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                out[path.rsplit("/", 1)[-1]] = getattr(lib, name)()
+                break
+    return out
+
+n = int(sys.argv[1])
+import_rss = rss_mb()
+%s
+setup_rss = rss_mb()
+t0 = time.perf_counter()
+%s
+seconds = time.perf_counter() - t0
+print(json.dumps({"seconds": seconds, "peak_rss_mb": rss_mb(), "import_rss_mb": import_rss,
+                  "setup_rss_mb": setup_rss,
+                  "numpy": numpy.__version__, "scipy": scipy.__version__,
+                  "blas_threads": blas_threads()}))
+"""
+
+
+def run_child(src: Path, stage: str, n: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = CHILD % STAGES[stage]
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(n)], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter
+    )
+    parser.add_argument("--src", type=Path, required=True, help="the checkout's src directory")
+    parser.add_argument("--label", required=True)
+    args = parser.parse_args()
+
+    src = args.src.resolve()
+    stages: dict[str, dict[str, dict]] = {stage: {} for stage in STAGES}
+    last: dict = {}
+    for n in N_RANGE:
+        for stage in STAGES:
+            runs = [run_child(src, stage, n) for _ in range(K)]
+            last = runs[-1]
+            entry = {
+                "seconds": statistics.median(r["seconds"] for r in runs),
+                "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
+                "import_rss_mb": statistics.median(r["import_rss_mb"] for r in runs),
+                "setup_rss_mb": statistics.median(r["setup_rss_mb"] for r in runs),
+                "seconds_runs": [round(r["seconds"], 4) for r in runs],
+                "peak_rss_mb_runs": [round(r["peak_rss_mb"], 1) for r in runs],
+            }
+            stages[stage][str(n)] = entry
+            print(f"n={n:>2} {stage:<5} {entry['seconds']:8.3f} s {entry['peak_rss_mb']:7.1f} MB",
+                  flush=True)
+    report = {
+        "label": args.label,
+        "k": K,
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": sys.version.split()[0],
+        "numpy": last.get("numpy"),
+        "scipy": last.get("scipy"),
+        "blas_threads": last.get("blas_threads"),
+        "stages": stages,
+    }
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -246,7 +246,6 @@ def collection_stats_from_copies(
     Copies describing the same subgraph collapse to one.
     """
     _require_edge(pattern)
-    adj = g.adjacency_sets()
     pattern_edges = list(pattern.edges())
     per_vertex = [0] * g.vertex_count
     per_edge: dict[tuple[int, int], int] = {}
@@ -264,7 +263,7 @@ def collection_stats_from_copies(
         edges = []
         for u, v in pattern_edges:
             gu, gv = copy[u], copy[v]
-            if gv not in adj[gu]:
+            if not g.has_edge(gu, gv):
                 raise InvalidInputError(
                     f"copy {copy} maps pattern edge ({u},{v}) to the non-edge ({gu},{gv})"
                 )

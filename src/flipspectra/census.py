@@ -18,8 +18,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError
-from .flipgraph import Graph, _check_range, _diagonal_ids, _flip_pass, _id_rows, build_associahedron
-from .triangulations import Triangulation, crosses, polygon_regions
+from .flipgraph import Graph, _check_range, _flip_pass, build_associahedron
+from .triangulations import Triangulation, _diagonal_ids, _id_rows, crosses, polygon_regions
 
 CENSUS_LIMIT_DEFAULT = 20000
 

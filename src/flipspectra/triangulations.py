@@ -5,6 +5,10 @@ pair (i, j) with i < j and j - i >= 2, excluding the closing side (1, n).
 A triangulation of the n-gon consists of n - 3 pairwise non-crossing
 diagonals; the sorted diagonal tuple doubles as the canonical code, so two
 triangulations are equal exactly when their codes are equal.
+
+Enumeration works on arrays: every triangulation is one row of ascending
+uint8 diagonal ids (``_id_rows``), which the flip graph and the census read
+directly; ``enumerate_triangulations`` turns the rows into objects.
 """
 
 from __future__ import annotations
@@ -12,9 +16,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
-from .errors import InvalidInputError, NotPresentError, RangeError
+import numpy as np
+
+from .errors import CapacityError, InvalidInputError, NotPresentError, RangeError
 
 Diagonal = tuple[int, int]
 
@@ -129,51 +136,98 @@ def fan_triangulation(n: int, apex: int = 1) -> Triangulation:
     return Triangulation(n, tuple(diags))
 
 
-def _range_diagonal_sets(m: int, memo: dict | None = None) -> tuple[tuple[Diagonal, ...], ...]:
-    """Diagonal sets of all triangulations of a polygon on 0-based labels 0..m-1.
+@lru_cache(maxsize=32)
+def _diagonal_ids(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ends, lookup) for the diagonals of the n-gon, numbered in lexicographic order.
+
+    ends[d] holds the 0-based endpoints of diagonal d, and lookup[i, j] the
+    id of the diagonal with 0-based endpoints i < j.  Ids are uint8.
+    """
+    if n * (n - 3) // 2 > 256:
+        raise CapacityError(f"the {n}-gon has more diagonals than uint8 ids can number")
+    ends = np.array(
+        [(i, j) for i in range(n - 2) for j in range(i + 2, n) if (i, j) != (0, n - 1)],
+        dtype=np.intp,
+    ).reshape(-1, 2)
+    lookup = np.zeros((n, n), dtype=np.uint8)
+    lookup[ends[:, 0], ends[:, 1]] = np.arange(len(ends))
+    ends.flags.writeable = lookup.flags.writeable = False
+    return ends, lookup
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of ascending uint8 ids as one byte string, ordered like the rows.
+
+    The bytes dtype drops trailing zero bytes, which merges no two rows:
+    id 0 can only come first in an ascending row.
+    """
+    return rows.view(f"S{rows.shape[1]}").ravel()
+
+
+def _endpoint_blocks(m: int, memo: dict) -> np.ndarray:
+    """Diagonal endpoints of all triangulations of the polygon 0..m-1, shape (C, m-3, 2).
 
     Recursion on the triangle containing the closing side (0, m-1): choose
-    its apex k and triangulate the two sub-polygons independently.  Each
-    diagonal is emitted exactly once, by the call whose closing side it cuts.
-    The recursion shares its sub-polygon results through ``memo``, which a
-    top-level call starts empty, so none outlives that call.
+    its apex k and pair every triangulation of the left polygon 0..k with
+    every one of the right polygon k..m-1.  Each diagonal is written once,
+    by the call whose closing side it cuts.  Sub-polygon blocks are shared
+    through ``memo``, which the top-level caller starts empty.
     """
     if m < 3:
-        return ((),)
-    memo = {} if memo is None else memo
+        return np.zeros((1, 0, 2), dtype=np.uint8)
     if m not in memo:
-        out = []
+        parts = []
         for k in range(1, m - 1):
-            closing: tuple[Diagonal, ...] = ()
+            left = _endpoint_blocks(k + 1, memo)
+            right = _endpoint_blocks(m - k, memo) + np.uint8(k)
+            block = np.empty((len(left) * len(right), m - 3, 2), dtype=np.uint8)
+            wl, wr = left.shape[1], right.shape[1]
+            block[:, :wl] = np.repeat(left, len(right), axis=0)
+            block[:, wl : wl + wr] = np.tile(right, (len(left), 1, 1))
+            # the closing diagonals 0-k and k-(m-1), where they are not sides
             if k >= 2:
-                closing += ((0, k),)
+                block[:, wl + wr] = (0, k)
             if m - 1 - k >= 2:
-                closing += ((k, m - 1),)
-            right = [
-                tuple((i + k, j + k) for i, j in ds) for ds in _range_diagonal_sets(m - k, memo)
-            ]
-            for left in _range_diagonal_sets(k + 1, memo):
-                for shifted in right:
-                    out.append(left + shifted + closing)
-        memo[m] = tuple(out)
+                block[:, -1] = (k, m - 1)
+            parts.append(block)
+        memo[m] = np.concatenate(parts)
     return memo[m]
 
 
-def enumerate_triangulations(n: int, max_n: int | None = None) -> list[Triangulation]:
-    """All triangulations of the n-gon, sorted by canonical code.
+@lru_cache(maxsize=32)
+def _id_rows(n: int) -> np.ndarray:
+    """All triangulations of the n-gon as rows of ascending uint8 diagonal ids.
 
-    The result has exactly catalan(n - 2) elements and the order is
-    deterministic across runs.
+    This defines the canonical vertex order: rows ascend as byte strings
+    (``_row_keys``), and since ids follow the lexicographic order of the
+    diagonals, that is the order of the sorted diagonal tuples too.  The
+    range of n is the caller's to check; the id guard comes before any
+    enumeration.
+    """
+    _, lookup = _diagonal_ids(n)
+    ends = _endpoint_blocks(n, {})
+    rows = lookup[ends[..., 0], ends[..., 1]]
+    rows.sort(axis=1)
+    if n > 3:  # the triangle's one empty row needs no order
+        rows = rows[np.argsort(_row_keys(rows))]
+    rows.flags.writeable = False
+    return rows
+
+
+def enumerate_triangulations(n: int, max_n: int | None = None) -> list[Triangulation]:
+    """All triangulations of the n-gon, in canonical order.
+
+    Triangulation i is row i of ``_id_rows(n)``, which is vertex i of the
+    flip graph; the list has exactly catalan(n - 2) elements, sorted by
+    their diagonal tuples.
     """
     limit = max_polygon(max_n)
     if n < 3 or n > limit:
         raise RangeError(f"n={n} outside the supported range 3..{limit}")
-    tris = [
-        Triangulation(n, tuple((i + 1, j + 1) for i, j in ds))
-        for ds in _range_diagonal_sets(n)
+    ends, _ = _diagonal_ids(n)
+    return [
+        Triangulation(n, tuple(map(tuple, ds))) for ds in (ends + 1)[_id_rows(n)].tolist()
     ]
-    tris.sort(key=lambda t: t.diagonals)
-    return tris
 
 
 def _edge_set(t: Triangulation) -> set[Diagonal]:

@@ -378,6 +378,21 @@ def test_collection_stats_from_copies():
         collection_stats_from_copies(g, cycle_graph(5), [[0, 1, 2, 3, 4]])
 
 
+def test_collection_from_copies_checks_edges_without_adjacency_sets(monkeypatch):
+    from flipspectra.flipgraph import Graph
+
+    calls = []
+    monkeypatch.setattr(Graph, "adjacency_sets", lambda self: calls.append(self) or [])
+    g = build_associahedron(5)  # the 5-cycle 0-1-4-3-2
+    st_ = collection_stats_from_copies(g, cycle_graph(5), [[0, 1, 4, 3, 2], [1, 4, 3, 2, 0]])
+    assert (st_.m, st_.t, st_.copy_count) == (1, 1, 1)
+    # the first pattern edge that misses, in pattern edge order, is named
+    with pytest.raises(InvalidInputError) as err:
+        collection_stats_from_copies(g, cycle_graph(5), [[0, 1, 4, 3, 2], [0, 1, 2, 3, 4]])
+    assert str(err.value) == "copy [0, 1, 2, 3, 4] maps pattern edge (0,4) to the non-edge (0,4)"
+    assert calls == []
+
+
 def test_collection_from_copies_rejects_non_copy():
     p = petersen_graph()
     with pytest.raises(InvalidInputError):

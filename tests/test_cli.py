@@ -267,6 +267,23 @@ def test_missing_copies_file_is_input_error(tmp_path, capsys):
     assert out == "" and "input error" in err
 
 
+def test_copy_on_a_non_edge_is_input_error_without_adjacency_sets(tmp_path, capsys, monkeypatch):
+    from flipspectra.flipgraph import Graph
+
+    def spy(self):
+        raise AssertionError("adjacency_sets called")
+
+    monkeypatch.setattr(Graph, "adjacency_sets", spy)
+    copies = tmp_path / "copies.txt"
+    copies.write_text("0,1,2,3,4\n")
+    code, out, err = run_cli(
+        capsys, "bounds", "--n", "12", "--copies", str(copies), "--pattern", "cycle:5"
+    )
+    assert code == 2 and out == ""
+    assert "input error" in err
+    assert "copy [0, 1, 2, 3, 4] maps pattern edge (0,4) to the non-edge (0,4)" in err
+
+
 @pytest.mark.parametrize("certify", [[], ["--certify"]])
 def test_edgeless_pattern_is_input_error(tmp_path, capsys, certify):
     empty = tmp_path / "copies.txt"

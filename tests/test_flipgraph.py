@@ -69,6 +69,17 @@ def contains_triangle_oracle(g):
     return any(adj[u] & adj[v] for u, v in g.edges())
 
 
+def connected_oracle(g):
+    """Depth-first search over Python sets."""
+    adj = g.adjacency_sets()
+    seen, stack = {0}, [0]
+    while stack:
+        for v in adj[stack.pop()] - seen:
+            seen.add(v)
+            stack.append(v)
+    return len(seen) == g.vertex_count
+
+
 def same_csr(g, want):
     offsets, neighbors = want
     return (
@@ -94,6 +105,7 @@ def test_from_edges_and_triangle_check_match_oracles(case):
     assert same_csr(g, csr_oracle(nv, edges))
     assert g.degree == (g.degree_of(0) if nv and len(set(g.degrees())) == 1 else None)
     assert contains_triangle(g) == contains_triangle_oracle(g)
+    assert is_connected(g) == (nv == 0 or connected_oracle(g))
 
 
 @pytest.mark.parametrize("n", range(4, 11))
@@ -178,10 +190,13 @@ def test_build_stops_where_uint8_ids_run_out(monkeypatch):
     ends, lookup = fg._diagonal_ids(24)
     assert len(ends) == 252 and lookup[21, 23] == 251
     calls = []
-    enumerate_sets = tri._range_diagonal_sets
-    monkeypatch.setattr(
-        tri, "_range_diagonal_sets", lambda *args: calls.append(args) or enumerate_sets(*args)
-    )
+
+    def counted(*args):
+        # never calls through: enumerating the 25-gon would not fit in memory
+        calls.append(args)
+        raise AssertionError("enumerated before the uint8 guard")
+
+    monkeypatch.setattr(tri, "_endpoint_blocks", counted)
     with pytest.raises(CapacityError):
         build_associahedron(25, max_n=25)
     # the guard comes before any enumeration
@@ -324,6 +339,18 @@ def test_isomorphism_negatives():
     phi = slice_product_map(8, 4)
     phi[[0, 1]] = phi[[1, 0]]
     assert not is_isomorphic(slc, prod, phi)
+
+
+def test_is_connected_examples():
+    assert is_connected(from_edges(0, [])) and is_connected(single_vertex())
+    assert not is_connected(from_edges(2, []))
+    assert not is_connected(from_edges(4, [(0, 1), (2, 3)]))
+    assert not is_connected(box_product(path_graph(3), from_edges(2, [])))
+    assert is_connected(path_graph(40)) and is_connected(box_product(cycle_graph(5), path_graph(4)))
+    # a long cycle: 50,000 levels, each touching only its own two vertices
+    long_cycle = cycle_graph(100_000)
+    assert is_connected(long_cycle)
+    assert not is_connected(induced_subgraph(long_cycle, np.delete(np.arange(100_000), [7, 60_000]))[0])
 
 
 def test_petersen():

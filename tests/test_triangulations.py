@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,35 @@ from flipspectra.triangulations import (
     triangles_of,
     validate_diagonal,
 )
+from flipspectra.triangulations import _diagonal_ids, _id_rows
+
+
+def oracle_diagonal_sets(m, memo=None):
+    """Diagonal sets of all triangulations of the polygon 0..m-1, as tuples.
+
+    The same closing-side recursion as the array enumeration, on Python
+    tuples: choose the apex k of the triangle on (0, m-1) and pair every
+    triangulation of the polygon 0..k with every one of k..m-1.
+    """
+    if m < 3:
+        return ((),)
+    memo = {} if memo is None else memo
+    if m not in memo:
+        out = []
+        for k in range(1, m - 1):
+            closing = ()
+            if k >= 2:
+                closing += ((0, k),)
+            if m - 1 - k >= 2:
+                closing += ((k, m - 1),)
+            right = [
+                tuple((i + k, j + k) for i, j in ds) for ds in oracle_diagonal_sets(m - k, memo)
+            ]
+            for left in oracle_diagonal_sets(k + 1, memo):
+                for shifted in right:
+                    out.append(left + shifted + closing)
+        memo[m] = tuple(out)
+    return memo[m]
 
 
 def test_catalan_values():
@@ -90,6 +120,25 @@ def test_enumeration_codes_distinct_and_sorted():
 
 def test_enumeration_is_deterministic():
     assert enumerate_triangulations(7) == enumerate_triangulations(7)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_id_rows_match_tuple_oracle(n):
+    _, lookup = _diagonal_ids(n)
+    want = sorted(tuple(sorted(int(lookup[i, j]) for i, j in ds)) for ds in oracle_diagonal_sets(n))
+    rows = _id_rows(n)
+    assert rows.dtype == np.uint8 and rows.shape == (catalan(n - 2), n - 3)
+    assert not rows.flags.writeable
+    assert rows.tolist() == [list(r) for r in want]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_enumeration_matches_tuple_oracle(n):
+    want = sorted(
+        (Triangulation(n, tuple((i + 1, j + 1) for i, j in ds)) for ds in oracle_diagonal_sets(n)),
+        key=lambda t: t.diagonals,
+    )
+    assert enumerate_triangulations(n, max_n=n) == want
 
 
 def test_enumeration_range_errors():
