@@ -3,7 +3,8 @@
 
 The dynamic program over diagonal-slice splits gives an upper bound ub(n)
 for the smallest flip-graph eigenvalue; for every residue r of n mod 10 it
-satisfies ub(n) <= -0.6904 n + c_r.  This script prints the c_r table and
+satisfies ub(n) <= L n + c_r, where L = LIMIT_UPPER_CONSTANT, the per-step
+rate lambda_min(12) / 10 = -0.6904.  This script prints the c_r table and
 spot checks the inequality on a range of n.
 
 Usage: python scripts/residue_upper_constants.py [--n-max N]
@@ -13,6 +14,7 @@ import argparse
 import sys
 
 from flipspectra.bounds import assoc_upper_bound, upper_bound_residue_constants
+from flipspectra.reference import LIMIT_UPPER_CONSTANT
 
 
 def main() -> int:
@@ -21,11 +23,11 @@ def main() -> int:
     args = parser.parse_args()
 
     consts = upper_bound_residue_constants(args.n_max)
-    print("r   c_r      (ub(n) <= -0.6904 n + c_r for n = r mod 10)")
+    print(f"r   c_r      (ub(n) <= {LIMIT_UPPER_CONSTANT} n + c_r for n = r mod 10)")
     for r, c in consts.items():
         print(f"{r}   {c:.6f}")
     for n in range(4, args.n_max + 1):
-        assert assoc_upper_bound(n) <= -0.6904 * n + consts[n % 10] + 1e-9, n
+        assert assoc_upper_bound(n) <= LIMIT_UPPER_CONSTANT * n + consts[n % 10] + 1e-9, n
     print(f"inequality verified for n = 4..{args.n_max}")
     sample = [13, 22, 47, 100]
     print("sample bounds:", {n: round(assoc_upper_bound(n), 4) for n in sample})

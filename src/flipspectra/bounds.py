@@ -331,16 +331,17 @@ def assoc_upper_bound(n: int) -> float:
 
 
 def upper_bound_residue_constants(n_max: int = 200) -> dict[int, float]:
-    """Per-residue constants c_r with ub(n) <= -0.6904 n + c_r for n = r mod 10.
+    """Per-residue constants c_r with ub(n) <= L n + c_r for n = r mod 10.
 
-    ub(n) + 0.6904 n is non-increasing along n -> n+10 (the 12/10 split
-    loses exactly 6.904 per step), so the maximum over n <= n_max is the
-    true constant once n_max is past the first class representatives.
+    L is LIMIT_UPPER_CONSTANT, lambda_min(12) / 10 = -0.6904.  ub(n) - L n
+    is non-increasing along n -> n+10 (the 12/10 split loses exactly 6.904
+    per step), so the maximum over n <= n_max is the true constant once
+    n_max is past the first class representatives.
     """
     out: dict[int, float] = {}
     for n in range(4, n_max + 1):
         r = n % 10
-        c = assoc_upper_bound(n) + 0.6904 * n
+        c = assoc_upper_bound(n) - LIMIT_UPPER_CONSTANT * n
         out[r] = max(out.get(r, -math.inf), c)
     return dict(sorted(out.items()))
 

@@ -5,21 +5,25 @@ Counts how many 5-cycles (pentagons) and how many hexagon-flip subgraphs
 edge.  The formula route is array arithmetic on the flip pass that builds
 the flip graph: each flip is one edge of the dual tree, between the
 triangles on the flipped diagonal, and every count follows from those
-triangles' degrees.  Every formula is paired with an independent oracle
-(graph search over actual cycles, geometric region checks, whole-graph
-support enumeration).
+triangles' degrees.  Every formula is paired with an independent oracle.
+The pentagon census reads the array copy search ``bounds.collection_stats``
+with the pattern C5, whose subgraph copies are exactly the 5-cycles; the
+simple-path searches through one vertex or one edge stay as a public API.
+The hexagon census has geometric region checks and a whole-graph support
+enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, product
 
 import numpy as np
 
+from .bounds import collection_stats
 from .errors import CapacityError, InvalidInputError
-from .flipgraph import Graph, _check_range, _flip_pass, build_associahedron
-from .triangulations import Triangulation, _diagonal_ids, _id_rows, crosses, polygon_regions
+from .flipgraph import Graph, _check_range, _flip_pass, build_associahedron, cycle_graph
+from .triangulations import Triangulation, _diagonal_ids, _id_rows, polygon_regions
 
 CENSUS_LIMIT_DEFAULT = 20000
 
@@ -57,25 +61,21 @@ class CensusReport:
         return max(self.per_edge.values())
 
 
-def _check_census_size(g: Graph, limit: int | None) -> None:
+def _check_census_size(g: Graph, limit: int | None) -> int:
+    """The census cap, after checking that g is within it."""
     cap = CENSUS_LIMIT_DEFAULT if limit is None else limit
     if g.vertex_count > cap:
         raise CapacityError(f"census oracle limited to {cap} vertices")
+    return cap
 
 
 # ---------------------------------------------------------------------------
 # pentagons through a vertex
 
-def pentagon_count_vertex_oracle(
-    g: Graph, v: int, limit: int | None = None, adj: list[set[int]] | None = None
-) -> int:
-    """Exact 5-cycle count through vertex v by simple-path search.
-
-    ``adj`` may pass in ``g.adjacency_sets()`` when counting many vertices.
-    """
+def pentagon_count_vertex_oracle(g: Graph, v: int, limit: int | None = None) -> int:
+    """Exact 5-cycle count through vertex v by simple-path search."""
     _check_census_size(g, limit)
-    if adj is None:
-        adj = g.adjacency_sets()
+    adj = g.adjacency_sets()
     count = 0
     for a in adj[v]:
         for b in adj[a]:
@@ -93,18 +93,12 @@ def pentagon_count_vertex_oracle(
 # ---------------------------------------------------------------------------
 # pentagons through an edge
 
-def pentagon_count_edge_oracle(
-    g: Graph, u: int, v: int, limit: int | None = None, adj: list[set[int]] | None = None
-) -> int:
-    """Exact 5-cycle count through edge uv by simple-path search.
-
-    ``adj`` may pass in ``g.adjacency_sets()`` when counting many edges.
-    """
+def pentagon_count_edge_oracle(g: Graph, u: int, v: int, limit: int | None = None) -> int:
+    """Exact 5-cycle count through edge uv by simple-path search."""
     _check_census_size(g, limit)
     if not g.has_edge(u, v):
         raise InvalidInputError(f"({u},{v}) is not an edge")
-    if adj is None:
-        adj = g.adjacency_sets()
+    adj = g.adjacency_sets()
     count = 0
     for x in adj[v]:
         if x == u:
@@ -169,23 +163,32 @@ def hexagon_supports(n: int) -> list[tuple[tuple[int, int], ...]]:
     """All diagonal sets whose complement is one hexagonal face plus triangles.
 
     Each such set of n - 6 diagonals pins down one hexagon-flip subgraph:
-    the induced subgraph on the triangulations containing the set.
+    the induced subgraph on the triangulations containing the set.  Built
+    from the hexagon's six corners: each pocket between consecutive
+    corners with g >= 3 polygon vertices adds its closing chord and one
+    triangulation of the g-gon.  Sorted, each set ascending.
     """
     if n < 6:
         raise InvalidInputError("hexagon supports need n >= 6")
-    all_diags = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 2, n + 1)
-        if (i, j) != (1, n)
-    ]
+    shapes: dict[int, np.ndarray] = {}  # g -> 0-based diagonal ends of each g-gon triangulation
     out = []
-    for combo in combinations(all_diags, n - 6):
-        if any(crosses(p, q) for p, q in combinations(combo, 2)):
-            continue
-        sizes = sorted(len(r) for r in polygon_regions(n, combo))
-        if sizes[-1] == 6 and all(s == 3 for s in sizes[:-1]):
-            out.append(combo)
+    for corners in combinations(range(1, n + 1), 6):
+        choices = []
+        for a, b in zip(corners, corners[1:] + (corners[0] + n,)):
+            g = b - a + 1
+            if g < 3:  # the hexagon side is a polygon side
+                continue
+            if g not in shapes:
+                ends, _ = _diagonal_ids(g)
+                shapes[g] = ends[_id_rows(g)]
+            pocket = (np.arange(a, b + 1) - 1) % n + 1
+            chords = np.sort(pocket[shapes[g]], axis=-1).tolist()
+            closing = sorted((a, (b - 1) % n + 1))
+            choices.append([[closing, *tri] for tri in chords])
+        out.extend(
+            tuple(sorted(map(tuple, chain.from_iterable(pick)))) for pick in product(*choices)
+        )
+    out.sort()
     return out
 
 
@@ -265,7 +268,9 @@ def pentagon_census(
 
     Through the flip edge of ab: the diagonal sides of the quadrilateral
     apbq, d_p + d_q - 2.  Through a vertex: the sum of C(d, 2) over its
-    dual tree, which is half the sum of its edges' counts.
+    dual tree, which is half the sum of its edges' counts.  The oracle
+    counts the subgraph copies of C5 with the array copy search
+    ``bounds.collection_stats``, under the census cap ``limit``.
     """
     if n < 5:
         raise InvalidInputError("pentagon census needs n >= 5")
@@ -276,13 +281,10 @@ def pentagon_census(
     o_vertex = o_edge = None
     if oracle:
         g = build_associahedron(n, max_n)
-        adj = g.adjacency_sets()
-        o_vertex = tuple(
-            pentagon_count_vertex_oracle(g, v, limit, adj) for v in range(g.vertex_count)
-        )
-        o_edge = {
-            (u, v): pentagon_count_edge_oracle(g, u, v, limit, adj) for u, v in g.edges()
-        }
+        stats = collection_stats(g, cycle_graph(5), host_limit=_check_census_size(g, limit))
+        o_vertex = stats.per_vertex
+        # every edge, with 0 where no 5-cycle passes
+        o_edge = {**dict.fromkeys(g.edges(), 0), **stats.per_edge}
     return CensusReport(n, "pentagon", per_vertex, _edge_counts(target, edge), o_vertex, o_edge)
 
 

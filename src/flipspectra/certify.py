@@ -3,14 +3,16 @@
 Each claim callable returns a ClaimResult; the driver collects them into a
 machine-readable report.  Scope scales with n_max so small runs stay fast:
 census claims cap at n = 9 (pentagons) and n = 8 (hexagons), slice
-isomorphism at n = 10 regardless of n_max.  The slice claim checks the
+isomorphism at n = 10 regardless of n_max.  The 5-cycles of each flip
+graph are found once, by the array copy search, and serve both the
+pentagon census and the collection bound.  The slice claim checks the
 explicit bijection slice_product_map against the box product's edges; it
 does not search for an isomorphism.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import bounds, census, spectra
 from .errors import InvalidInputError
@@ -68,25 +70,32 @@ def _claim_structure(n_max: int) -> ClaimResult:
     return ClaimResult("flip-graph-structure", not bad, "; ".join(bad) if bad else scope)
 
 
-def _claim_pentagon_census(n_max: int) -> ClaimResult:
-    top = min(n_max, 9)
-    if top < 5:
+def _pentagon_stats(n_max: int) -> dict[int, bounds.CollectionStats]:
+    """The 5-cycles of A5..A9 (capped by n_max), one copy search per graph."""
+    return {
+        n: bounds.collection_stats(build_associahedron(n), cycle_graph(5))
+        for n in range(5, min(n_max, 9) + 1)
+    }
+
+
+def _claim_pentagon_census(pentagons: dict[int, bounds.CollectionStats]) -> ClaimResult:
+    if not pentagons:
         return ClaimResult("pentagon-census", True, "vacuous: no 5-cycles below n=5")
     bad = []
-    for n in range(5, top + 1):
-        rep = census.pentagon_census(n, oracle=True)
-        if rep.per_vertex != rep.oracle_per_vertex:
+    for n, oracle in pentagons.items():
+        rep = census.pentagon_census(n)
+        if rep.per_vertex != oracle.per_vertex:
             bad.append(f"n={n}: vertex formula != oracle")
         if any(v < n - 4 for v in rep.per_vertex):
             bad.append(f"n={n}: vertex count below n-4")
-        if rep.per_edge != rep.oracle_per_edge:
+        if rep.per_edge != oracle.per_edge:
             bad.append(f"n={n}: edge formula != oracle")
         if rep.edge_min < 1 or rep.edge_max > 4:
             bad.append(f"n={n}: edge count outside [1,4]")
         if any(c != n - 6 + t1 for c, t1 in zip(rep.per_vertex, census.ear_counts(n))):
             bad.append(f"n={n}: vertex count != n-6+t1")
     return ClaimResult(
-        "pentagon-census", not bad, "; ".join(bad) if bad else f"exact for n=5..{top}"
+        "pentagon-census", not bad, "; ".join(bad) if bad else f"exact for n=5..{max(pentagons)}"
     )
 
 
@@ -171,21 +180,25 @@ def _claim_slice_isomorphism(n_max: int) -> ClaimResult:
     )
 
 
-def _claim_collection_bounds(n_max: int, lam_min: dict[int, float]) -> ClaimResult:
+def _claim_collection_bounds(
+    pentagons: dict[int, bounds.CollectionStats], lam_min: dict[int, float]
+) -> ClaimResult:
     suite = [
-        ("K4/K3", complete_graph(4), complete_graph(3), None),
-        ("Petersen/C5", petersen_graph(), cycle_graph(5), None),
+        ("K4/K3", complete_graph(4), complete_graph(3), None, None),
+        ("Petersen/C5", petersen_graph(), cycle_graph(5), None, None),
     ]
-    for n in range(5, min(n_max, 9) + 1):
-        suite.append((f"A{n}/C5", build_associahedron(n), cycle_graph(5), lam_min[n]))
+    for n, stats in pentagons.items():
+        suite.append((f"A{n}/C5", build_associahedron(n), cycle_graph(5), lam_min[n], stats))
     for seed in range(10):
         g = random_regular_graph(20, 3, seed=seed)
         exact = spectra.dense_spectrum(g).lambda_min
         for label, pat in (("K3", complete_graph(3)), ("C5", cycle_graph(5)), ("C7", cycle_graph(7))):
-            suite.append((f"rand20-seed{seed}/{label}", g, pat, exact))
+            suite.append((f"rand20-seed{seed}/{label}", g, pat, exact, None))
     bad = []
-    for label, g, pat, exact in suite:
-        rep = bounds.certify_collection_bound(g, pat, exact_lambda_min=exact, name=label)
+    for label, g, pat, exact, stats in suite:
+        rep = bounds.certify_collection_bound(
+            g, pat, exact_lambda_min=exact, name=label, stats=stats
+        )
         if not rep.satisfied:
             bad.append(label)
     return ClaimResult(
@@ -213,18 +226,23 @@ def run_certification(n_max: int, seed: int = 0) -> list[ClaimResult]:
     """Run every claim up to n_max; heavier census/slice claims self-cap."""
     if n_max < 4:
         raise InvalidInputError("certification needs n_max >= 4")
+    pentagons = _pentagon_stats(n_max)  # shared by the census and collection claims
     results = [
         _claim_structure(n_max),
-        _claim_pentagon_census(n_max),
+        _claim_pentagon_census(pentagons),
         _claim_hexagon_census(n_max),
         _claim_slice_isomorphism(n_max),
     ]
+    # the collection bound reads only m, t and the copy count; dropping the
+    # per-vertex and per-edge tables (about 0.2 MB of Python objects) keeps
+    # them out of the run's peak RSS
+    pentagons = {n: replace(s, per_vertex=(), per_edge={}) for n, s in pentagons.items()}
     lam_min = _lambda_min_values(min(n_max, 12), seed=seed)
     lam2 = {
         n: spectra.lambda_2(build_associahedron(n), seed=seed).value
         for n in range(5, min(n_max, 12) + 1)
     }
-    results.append(_claim_collection_bounds(n_max, lam_min))
+    results.append(_claim_collection_bounds(pentagons, lam_min))
     results.append(_claim_table_match(lam_min, lam2))
     results.append(_claim_lower_bound(lam_min))
     results.append(_claim_subadditivity(lam_min))

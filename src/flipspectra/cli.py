@@ -9,6 +9,7 @@ timing is only emitted when --timing is passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -306,7 +307,9 @@ def cmd_table(args) -> int:
     return EXIT_OK if ok else EXIT_CLAIM
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="flipspectra",
         description="Flip graphs of polygon triangulations: spectra, censuses, bounds",

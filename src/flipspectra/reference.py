@@ -39,7 +39,7 @@ CHROMATIC_NUMBER_KNOWN = {5: 3, 6: 3, 7: 3, 8: 3, 9: 3, 10: 4}
 # bracket for lim lambda_min / (n - 3): the upper constant is
 # LAMBDA_MIN_TABLE[12] / 10 (the subadditive per-step rate), the lower one
 # is the closed-form pentagon-collection constant.
-LIMIT_UPPER_CONSTANT = -0.6904
+LIMIT_UPPER_CONSTANT = LAMBDA_MIN_TABLE[12] / 10
 LIMIT_LOWER_CONSTANT = -(5.0 + math.sqrt(5.0)) / 8.0
 
 _SQRT2 = math.sqrt(2.0)

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from flipspectra import bounds, census
 from flipspectra.census import (
     count_pentagons_total,
     ear_counts,
@@ -15,14 +16,34 @@ from flipspectra.census import (
     pentagon_count_vertex_oracle,
 )
 from flipspectra.errors import CapacityError, InvalidInputError
-from flipspectra.flipgraph import build_associahedron, cycle_graph, petersen_graph
+from flipspectra.flipgraph import Graph, build_associahedron, cycle_graph, petersen_graph
 from flipspectra.triangulations import (
     Triangulation,
+    crosses,
     dual_tree,
     ear_count,
     enumerate_triangulations,
     fan_triangulation,
+    polygon_regions,
 )
+
+
+def oracle_hexagon_supports(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every (n - 6)-set of non-crossing diagonals leaving one hexagon plus triangles."""
+    all_diags = [
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(i + 2, n + 1)
+        if (i, j) != (1, n)
+    ]
+    out = []
+    for combo in combinations(all_diags, n - 6):
+        if any(crosses(p, q) for p, q in combinations(combo, 2)):
+            continue
+        sizes = sorted(len(r) for r in polygon_regions(n, combo))
+        if sizes[-1] == 6 and all(s == 3 for s in sizes[:-1]):
+            out.append(combo)
+    return out
 
 
 def _index(t: Triangulation) -> int:
@@ -159,6 +180,11 @@ def test_hexagon_supports_counts():
     assert len(hexagon_supports(7)) == 7
 
 
+@pytest.mark.parametrize("n", range(6, 11))
+def test_hexagon_supports_match_filter_oracle(n):
+    assert hexagon_supports(n) == oracle_hexagon_supports(n)
+
+
 def test_census_reports():
     rep = pentagon_census(6, oracle=True)
     assert rep.per_vertex == rep.oracle_per_vertex
@@ -173,3 +199,42 @@ def test_oracle_capacity():
     g = build_associahedron(6)
     with pytest.raises(CapacityError):
         pentagon_count_vertex_oracle(g, 0, limit=5)
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_pentagon_census_oracle_matches_path_search(n):
+    g = build_associahedron(n)
+    rep = pentagon_census(n, oracle=True)
+    assert rep.oracle_per_vertex == tuple(
+        pentagon_count_vertex_oracle(g, v) for v in range(g.vertex_count)
+    )
+    assert list(rep.oracle_per_edge) == list(g.edges())
+    assert rep.oracle_per_edge == {
+        (u, v): pentagon_count_edge_oracle(g, u, v) for u, v in g.edges()
+    }
+
+
+def test_pentagon_census_oracle_uses_no_path_search(monkeypatch):
+    calls = []
+
+    def spy(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    monkeypatch.setattr(census, "pentagon_count_vertex_oracle", spy("vertex"))
+    monkeypatch.setattr(census, "pentagon_count_edge_oracle", spy("edge"))
+    monkeypatch.setattr(Graph, "adjacency_sets", spy("adjacency_sets"))
+    rep = pentagon_census(9, oracle=True)
+    assert calls == []
+    assert rep.oracle_per_vertex == rep.per_vertex
+    assert rep.oracle_per_edge == rep.per_edge
+
+
+def test_pentagon_census_oracle_keeps_the_census_cap(monkeypatch):
+    # A7 has 42 vertices
+    with pytest.raises(CapacityError, match="census oracle limited to 41 vertices"):
+        pentagon_census(7, oracle=True, limit=41)
+    # the census cap, not the collection search's own default, bounds the host
+    monkeypatch.setattr(bounds, "COLLECTION_HOST_LIMIT", 10)
+    rep = pentagon_census(7, oracle=True, limit=42)
+    assert rep.oracle_per_vertex == rep.per_vertex
+    assert pentagon_census(7, oracle=True).oracle_per_edge == rep.per_edge

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flipspectra.cli import main
+from flipspectra.cli import build_parser, main
 from flipspectra.triangulations import ear_count, enumerate_triangulations
 
 
@@ -34,6 +34,10 @@ def test_enumerate_above_size_cap_is_input_error(capsys):
     code, out, err = run_cli(capsys, "enumerate", "--n", "15")
     assert code == 2
     assert out == "" and "input error" in err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_graph_export(capsys):
