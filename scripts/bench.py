@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
-"""Time the flip-graph build layer by layer, each sample in a fresh process.
+"""Time the pipeline layer by layer, each sample in a fresh process.
 
 Usage: python scripts/bench.py --src CHECKOUT/src --label L
 
-For every n = 10..15 and every stage, three fresh Python processes import
-flipspectra from ``--src``, run the stage once and report its seconds and
-their own peak RSS (``resource.getrusage``, the whole process):
+For every stage and every n of its range, three fresh Python processes
+import flipspectra from ``--src``, run the stage once and report its
+seconds and their own peak RSS (``resource.getrusage``, the whole process):
 
-* ``rows``: the id-row enumeration, ``flipgraph._id_rows(n)``;
-* ``flip``: the flip pass, ``flipgraph._flip_pass(n)``, on rows already
-  enumerated (untimed) in the same process.  Its ``peak_rss_mb`` is the
-  larger of that setup's peak and the flip pass's own; ``setup_rss_mb``,
-  the peak just before the timed step, tells them apart;
-* ``build``: ``flipgraph.build_associahedron(n)`` from cold.
+* ``rows`` (n = 10..15): the id-row enumeration, ``flipgraph._id_rows(n)``;
+* ``flip`` (n = 10..15): the flip pass, ``flipgraph._flip_pass(n)``, on rows
+  already enumerated (untimed) in the same process.  Its ``peak_rss_mb`` is
+  the larger of that setup's peak and the flip pass's own;
+  ``setup_rss_mb``, the peak just before the timed step, tells them apart;
+* ``build`` (n = 10..15): ``flipgraph.build_associahedron(n)`` from cold;
+* ``census`` (n = 10..12): ``census --n N --oracle --edges`` through
+  ``cli.main``, from cold, with its output discarded;
+* ``aldous`` (n = 10..12): the Aldous test function,
+  ``walk.aldous_test_function(n)``, from cold.
 
 Only these names are used, so any checkout since the array build can be
 measured.  ``BENCH_<label>.json`` in the repository root holds the
@@ -28,19 +32,27 @@ import subprocess
 import sys
 from pathlib import Path
 
-N_RANGE = range(10, 16)
 K = 3
 ROOT = Path(__file__).resolve().parent.parent
 
+# stage -> (its n range, untimed setup, timed statement)
 STAGES = {
-    "rows": ("", "fg._id_rows(n)"),
-    "flip": ("fg._id_rows(n)", "fg._flip_pass(n)"),
-    "build": ("", "fg.build_associahedron(n, max_n=n)"),
+    "rows": (range(10, 16), "", "fg._id_rows(n)"),
+    "flip": (range(10, 16), "fg._id_rows(n)", "fg._flip_pass(n)"),
+    "build": (range(10, 16), "", "fg.build_associahedron(n, max_n=n)"),
+    "census": (
+        range(10, 13),
+        "",
+        "with open(os.devnull, 'w') as null, contextlib.redirect_stdout(null): "
+        "cli.main(['census', '--n', str(n), '--oracle', '--edges'])",
+    ),
+    "aldous": (range(10, 13), "", "walk.aldous_test_function(n)"),
 }
 
 CHILD = """
-import ctypes, json, resource, sys, time
+import contextlib, ctypes, json, os, resource, sys, time
 import numpy, scipy
+from flipspectra import cli, walk
 from flipspectra import flipgraph as fg
 
 def rss_mb():
@@ -73,7 +85,7 @@ print(json.dumps({"seconds": seconds, "peak_rss_mb": rss_mb(), "import_rss_mb": 
 
 def run_child(src: Path, stage: str, n: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = CHILD % STAGES[stage]
+    code = CHILD % STAGES[stage][1:]
     out = subprocess.run(
         [sys.executable, "-c", code, str(n)], env=env, capture_output=True, text=True, check=True
     )
@@ -91,8 +103,8 @@ def main() -> int:
     src = args.src.resolve()
     stages: dict[str, dict[str, dict]] = {stage: {} for stage in STAGES}
     last: dict = {}
-    for n in N_RANGE:
-        for stage in STAGES:
+    for stage, (n_range, _, _) in STAGES.items():
+        for n in n_range:
             runs = [run_child(src, stage, n) for _ in range(K)]
             last = runs[-1]
             entry = {
@@ -104,7 +116,7 @@ def main() -> int:
                 "peak_rss_mb_runs": [round(r["peak_rss_mb"], 1) for r in runs],
             }
             stages[stage][str(n)] = entry
-            print(f"n={n:>2} {stage:<5} {entry['seconds']:8.3f} s {entry['peak_rss_mb']:7.1f} MB",
+            print(f"n={n:>2} {stage:<6} {entry['seconds']:8.3f} s {entry['peak_rss_mb']:7.1f} MB",
                   flush=True)
     report = {
         "label": args.label,

@@ -45,14 +45,16 @@ _SPLIT_PAIRS = 1 << 12
 class CollectionStats:
     """Incidence statistics of all copies of a pattern graph inside a host.
 
-    m is the minimum, over host vertices, of copies containing the vertex;
-    t is the maximum, over host edges, of copies containing the edge.
+    ``per_vertex`` counts the copies through each host vertex, in vertex
+    order; ``per_edge`` counts the copies through each host edge, in the
+    order of ``Graph.edges()``, with 0 where no copy passes.  m is the
+    minimum of per_vertex and t the maximum of per_edge (0 when empty).
     """
 
     m: int
     t: int
     per_vertex: tuple[int, ...]
-    per_edge: dict[tuple[int, int], int]
+    per_edge: tuple[int, ...]
     copy_count: int
 
 
@@ -222,12 +224,15 @@ def collection_stats(
             row, cand = row[hit], cand[hit]
         stack.append((np.column_stack((f[row], cand)), i + 1))
 
-    slots = np.flatnonzero(per_arc)
-    u, v = (end[slots].tolist() for end in g.arcs())
-    per_edge = dict(zip(zip(u, v), per_arc[slots].tolist()))
-    m = int(per_vertex.min()) if nv else 0
-    t = max(per_edge.values()) if per_edge else 0
-    return CollectionStats(m, t, tuple(per_vertex.tolist()), per_edge, copies)
+    return _stats(g, per_vertex.tolist(), per_arc, copies)
+
+
+def _stats(g: Graph, per_vertex, per_arc: np.ndarray, copies: int) -> CollectionStats:
+    """CollectionStats from per-vertex counts and per-arc counts held at the u < v arcs."""
+    u, v = g.arcs()
+    per_vertex, per_edge = tuple(per_vertex), tuple(per_arc[u < v].tolist())
+    return CollectionStats(min(per_vertex, default=0), max(per_edge, default=0),
+                           per_vertex, per_edge, copies)
 
 
 def _require_edge(pattern: Graph) -> None:
@@ -248,7 +253,7 @@ def collection_stats_from_copies(
     _require_edge(pattern)
     pattern_edges = list(pattern.edges())
     per_vertex = [0] * g.vertex_count
-    per_edge: dict[tuple[int, int], int] = {}
+    counted: list[tuple[int, int]] = []
     seen: set[tuple[tuple[int, int], ...]] = set()
     for copy in copies:
         copy = [int(v) for v in copy]
@@ -274,11 +279,10 @@ def collection_stats_from_copies(
         seen.add(key)
         for w in set(copy):
             per_vertex[w] += 1
-        for e in edges:
-            per_edge[e] = per_edge.get(e, 0) + 1
-    m = min(per_vertex) if per_vertex else 0
-    t = max(per_edge.values()) if per_edge else 0
-    return CollectionStats(m, t, tuple(per_vertex), per_edge, len(seen))
+        counted += edges
+    ends = np.array(counted, dtype=np.int64).reshape(-1, 2)
+    slots = np.searchsorted(g.arc_keys(), ends[:, 0] * g.vertex_count + ends[:, 1])
+    return _stats(g, per_vertex, np.bincount(slots, minlength=2 * g.edge_count), len(seen))
 
 
 def theorem_bound(d: int, k: int, lam_min_pattern: float, m: int, t: int) -> float:

@@ -32,7 +32,8 @@ CENSUS_LIMIT_DEFAULT = 20000
 class CensusReport:
     """Per-vertex and per-edge counts with their oracle counterparts.
 
-    ``per_vertex``/``per_edge`` hold the formula route; the oracle fields
+    ``per_vertex``/``per_edge`` hold the formula route, in vertex order and
+    in the flip graph's edge order ``Graph.edges()``; the oracle fields
     are None unless the report was built with oracle=True, in which case
     they must agree entry by entry.
     """
@@ -40,9 +41,9 @@ class CensusReport:
     n: int
     pattern: str
     per_vertex: tuple[int, ...]
-    per_edge: dict[tuple[int, int], int]
+    per_edge: tuple[int, ...]
     oracle_per_vertex: tuple[int, ...] | None = None
-    oracle_per_edge: dict[tuple[int, int], int] | None = None
+    oracle_per_edge: tuple[int, ...] | None = None
 
     @property
     def vertex_min(self) -> int:
@@ -54,11 +55,11 @@ class CensusReport:
 
     @property
     def edge_min(self) -> int:
-        return min(self.per_edge.values())
+        return min(self.per_edge)
 
     @property
     def edge_max(self) -> int:
-        return max(self.per_edge.values())
+        return max(self.per_edge)
 
 
 def _check_census_size(g: Graph, limit: int | None) -> int:
@@ -194,12 +195,14 @@ def hexagon_supports(n: int) -> list[tuple[tuple[int, int], ...]]:
 
 def hexagon_census_oracle(
     n: int, max_n: int | None = None
-) -> tuple[list[int], dict[tuple[int, int], int]]:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Whole-graph hexagon census by support enumeration.
 
-    For every support set, marks all vertices (triangulations containing
-    it) and all internal flip edges.  Independent of the dual-tree
-    arithmetic of the formula route.
+    For every support set, counts all vertices (triangulations containing
+    it) and all internal flip edges: the slots of the neighbour array that
+    join two of its vertices.  Returns the per-vertex and per-edge counts,
+    in vertex order and in the order of ``Graph.edges()``.  Independent of
+    the dual-tree arithmetic of the formula route.
     """
     g = build_associahedron(n, max_n)
     rows = _id_rows(n)
@@ -207,19 +210,19 @@ def hexagon_census_oracle(
     # holds[v, d]: triangulation v contains diagonal d
     holds = np.zeros((len(rows), len(ends)), dtype=bool)
     holds[np.arange(len(rows))[:, None], rows] = True
-    per_vertex = [0] * g.vertex_count
-    per_edge: dict[tuple[int, int], int] = {}
+    per_vertex = np.zeros(g.vertex_count, dtype=np.int64)
+    per_arc = np.zeros(len(g.neighbors), dtype=np.int64)
+    inside = np.zeros(g.vertex_count, dtype=bool)  # marks one support's vertices at a time
     for support in hexagon_supports(n):
         ids = [lookup[i - 1, j - 1] for i, j in support]
-        keep = np.flatnonzero(holds[:, ids].all(axis=1)).tolist()
-        kset = set(keep)
-        for i in keep:
-            per_vertex[i] += 1
-            for j in g.neighbors_of(i):
-                j = int(j)
-                if j > i and j in kset:
-                    per_edge[(i, j)] = per_edge.get((i, j), 0) + 1
-    return per_vertex, per_edge
+        keep = np.flatnonzero(holds[:, ids].all(axis=1))
+        per_vertex[keep] += 1
+        slots = (g.offsets[keep, None] + np.arange(n - 3)).ravel()
+        inside[keep] = True
+        per_arc[slots[inside[g.neighbors[slots]]]] += 1
+        inside[keep] = False
+    u, v = g.arcs()
+    return tuple(per_vertex.tolist()), tuple(per_arc[u < v].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +239,10 @@ def _degree(n: int, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return 1 + _is_diagonal(n, x, z) + _is_diagonal(n, y, z)
 
 
-def _edge_counts(target: np.ndarray, counts: np.ndarray) -> dict[tuple[int, int], int]:
-    """counts[v, i] keyed by its flip edge (v, target[v, i]), each edge once, sorted."""
+def _edge_counts(target: np.ndarray, counts: np.ndarray) -> tuple[int, ...]:
+    """counts[v, i] of each flip edge (v, target[v, i]) once, in ``Graph.edges()`` order."""
     u, i = np.nonzero(np.arange(len(target))[:, None] < target)
-    v, c = target[u, i], counts[u, i]
-    order = np.lexsort((v, u))
-    return dict(zip(zip(u[order].tolist(), v[order].tolist()), c[order].tolist()))
+    return tuple(counts[u, i][np.lexsort((target[u, i], u))].tolist())
 
 
 def ear_counts(n: int, max_n: int | None = None) -> tuple[int, ...]:
@@ -282,9 +283,7 @@ def pentagon_census(
     if oracle:
         g = build_associahedron(n, max_n)
         stats = collection_stats(g, cycle_graph(5), host_limit=_check_census_size(g, limit))
-        o_vertex = stats.per_vertex
-        # every edge, with 0 where no 5-cycle passes
-        o_edge = {**dict.fromkeys(g.edges(), 0), **stats.per_edge}
+        o_vertex, o_edge = stats.per_vertex, stats.per_edge
     return CensusReport(n, "pentagon", per_vertex, _edge_counts(target, edge), o_vertex, o_edge)
 
 
@@ -316,6 +315,5 @@ def hexagon_census(n: int, oracle: bool = False, max_n: int | None = None) -> Ce
         edge += _is_diagonal(n, x, y) * (_degree(n, x, y, z) - 1)
     o_vertex = o_edge = None
     if oracle:
-        ov, oe = hexagon_census_oracle(n, max_n)
-        o_vertex, o_edge = tuple(ov), oe
+        o_vertex, o_edge = hexagon_census_oracle(n, max_n)
     return CensusReport(n, "hexagon", per_vertex, _edge_counts(target, edge), o_vertex, o_edge)

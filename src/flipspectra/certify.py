@@ -12,7 +12,7 @@ does not search for an isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import bounds, census, spectra
 from .errors import InvalidInputError
@@ -149,13 +149,13 @@ def _claim_table_match(lam_min: dict[int, float], lam2: dict[int, float]) -> Cla
 
 
 def _claim_subadditivity(lam_min: dict[int, float]) -> ClaimResult:
+    # slice(k + l - 2, (1, k)) is A_k box A_l, so by interlacing
+    # lambda_min(k + l - 2) <= lambda_min(k) + lambda_min(l)
     bad = []
     n_max = max(lam_min)
-    for k in range(4, n_max - 3):
-        for l in range(k, n_max - k + 1):
-            if k + l > n_max:
-                continue
-            if lam_min[k + l] > lam_min[k] + lam_min[l] + 1e-8:
+    for k in range(4, n_max + 1):
+        for l in range(k, n_max - k + 3):
+            if lam_min[k + l - 2] > lam_min[k] + lam_min[l] + 1e-8:
                 bad.append(f"k={k},l={l}")
     return ClaimResult(
         "slice-subadditivity", not bad, "; ".join(bad) if bad else "holds for all splits"
@@ -233,10 +233,6 @@ def run_certification(n_max: int, seed: int = 0) -> list[ClaimResult]:
         _claim_hexagon_census(n_max),
         _claim_slice_isomorphism(n_max),
     ]
-    # the collection bound reads only m, t and the copy count; dropping the
-    # per-vertex and per-edge tables (about 0.2 MB of Python objects) keeps
-    # them out of the run's peak RSS
-    pentagons = {n: replace(s, per_vertex=(), per_edge={}) for n, s in pentagons.items()}
     lam_min = _lambda_min_values(min(n_max, 12), seed=seed)
     lam2 = {
         n: spectra.lambda_2(build_associahedron(n), seed=seed).value

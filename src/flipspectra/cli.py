@@ -138,11 +138,13 @@ def cmd_census(args) -> int:
             fh.write("u,v,pentagon_count,pentagon_oracle,hexagon_count,hexagon_oracle\n")
         else:
             fh.write("u,v,pentagon_count,hexagon_count\n")
-        for (u, v), c in sorted(pent.per_edge.items()):
-            hc = hexa.per_edge[(u, v)] if hexa else 0
+        zeros = (0,) * len(pent.per_edge)
+        hexa_edge, hexa_oracle = (hexa.per_edge, hexa.oracle_per_edge) if hexa else (zeros, zeros)
+        edges = build_associahedron(args.n, args.max_n).edges()
+        for (u, v), c, po, hc, ho in zip(
+            edges, pent.per_edge, pent.oracle_per_edge or zeros, hexa_edge, hexa_oracle or zeros
+        ):
             if args.oracle:
-                po = pent.oracle_per_edge[(u, v)]
-                ho = hexa.oracle_per_edge[(u, v)] if hexa else 0
                 fh.write(f"{u},{v},{c},{po},{hc},{ho}\n")
             else:
                 fh.write(f"{u},{v},{c},{hc}\n")

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .flipgraph import Graph, build_associahedron, is_connected
+from .flipgraph import Graph, _check_range, _flip_pass, build_associahedron, is_connected
 from .spectra import lambda_2
-from .triangulations import Triangulation, dual_tree, enumerate_triangulations
 
 
 @dataclass(frozen=True)
@@ -104,67 +103,29 @@ def dirichlet_quotient(g: Graph, f: np.ndarray) -> TestFunctionReport:
     return TestFunctionReport(dirichlet, variance, quotient, quotient / 2.0)
 
 
-def central_triangle(t: Triangulation) -> tuple[int, int, int]:
-    """Triangle at a centroid of the dual tree.
-
-    A centroid node leaves components of at most (n-2)/2 nodes when
-    removed; ties break toward the lexicographically smallest triple.
-    """
-    dt = dual_tree(t)
-    nn = dt.node_count
-    if nn == 1:
-        return dt.triangles[0]
-    adj = [[] for _ in range(nn)]
-    for i, j in dt.adjacency:
-        adj[i].append(j)
-        adj[j].append(i)
-    parent = [-1] * nn
-    order = []
-    stack = [0]
-    seen = [False] * nn
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                parent[u] = v
-                stack.append(u)
-    size = [1] * nn
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-    best_val = None
-    best_tri = None
-    for v in range(nn):
-        worst = nn - size[v]
-        for u in adj[v]:
-            if u != parent[v]:
-                worst = max(worst, size[u])
-        key = (worst, dt.triangles[v])
-        if best_val is None or key < best_val:
-            best_val = key
-            best_tri = dt.triangles[v]
-    return best_tri
-
-
 def aldous_test_function(n: int, max_n: int | None = None) -> np.ndarray:
     """Distance from the central triangle to a fixed boundary point.
 
     For each triangulation, the minimum cyclic distance between a vertex
-    of its central triangle and polygon vertex floor(n/4).  Indexed in the
-    canonical enumeration order of the flip graph.
+    of its central triangle and polygon vertex floor(n/4) (1-based).  The
+    central triangle is a centroid of the dual tree: removing the triangle
+    x < y < z leaves parts of y-x-1, z-y-1 and n-z+x-1 triangles, and it
+    minimises (largest part, sorted triple).  Every triangle lies on a
+    diagonal, so it is abp or abq for some slot of the flip pass.  Indexed
+    in the canonical enumeration order of the flip graph.
     """
     if n < 6:
         raise InvalidInputError("test function needs n >= 6")
-    ts = enumerate_triangulations(n, max_n)
-    p = n // 4
-    values = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        tri_v = central_triangle(t)
-        values[i] = min(min(abs(a - p), n - abs(a - p)) for a in tri_v)
-    return values
+    _check_range(n, max_n)
+    _, a, b, p, q, _ = _flip_pass(n)
+    # every row's triangles abp and abq, each a sorted 0-based triple x < y < z
+    tri = np.stack([np.hstack(s) for s in ((a, a), (b, b), (p, q))]).astype(np.int64)
+    tri.sort(axis=0)
+    x, y, z = tri
+    largest = np.maximum(np.maximum(y - x, z - y), n - z + x) - 1
+    best = (((largest * n + x) * n + y) * n + z).argmin(axis=1)
+    dist = np.abs(tri[:, np.arange(len(best)), best] + 1 - n // 4)
+    return np.minimum(dist, n - dist).min(axis=0).astype(float)
 
 
 def gap_scan(n_values, tol: float = 1e-9, seed: int = 0) -> list[tuple[int, float, float]]:

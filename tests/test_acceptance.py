@@ -213,9 +213,11 @@ def test_criterion_7_bound_sandwich_and_identity(lambda_min_values):
 
 def test_criterion_8_subadditivity_and_slices(lambda_min_values):
     sub = True
-    for k in range(4, 9):
-        for l in range(k, 13 - k):
-            sub &= lambda_min_values[k + l] <= lambda_min_values[k] + lambda_min_values[l] + 1e-8
+    lam = lambda_min_values
+    # slice(k + l - 2, (1, k)) is A_k box A_l; interlacing bounds lambda_min(k + l - 2)
+    for k in range(4, 8):
+        for l in range(k, 15 - k):
+            sub &= lam[k + l - 2] <= lam[k] + lam[l] + 1e-8
     slices = True
     for n in range(4, 11):
         for k in range(3, n):

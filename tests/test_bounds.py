@@ -88,6 +88,8 @@ def oracle_collection_stats(g, pattern):
             per_edge[e] = per_edge.get(e, 0) + 1
     m = min(per_vertex) if per_vertex else 0
     t = max(per_edge.values()) if per_edge else 0
+    # every host edge, in edge order, with 0 where no copy passes
+    per_edge = tuple(per_edge.get(e, 0) for e in g.edges())
     return CollectionStats(m, t, tuple(per_vertex), per_edge, len(copies))
 
 
@@ -185,7 +187,7 @@ def test_conditions_keep_one_embedding_per_automorphism_class(name, unconditione
         every = unconditioned(g, pat)
         assert every.copy_count == aut * once.copy_count
         assert every.per_vertex == tuple(aut * c for c in once.per_vertex)
-        assert every.per_edge == {e: aut * c for e, c in once.per_edge.items()}
+        assert every.per_edge == tuple(aut * c for c in once.per_edge)
 
 
 def test_collection_stats_does_not_depend_on_the_split(monkeypatch):
@@ -218,6 +220,19 @@ def test_collection_stats_petersen_pentagons():
 def test_collection_stats_petersen_has_no_c7():
     st_ = collection_stats(petersen_graph(), cycle_graph(7))
     assert st_.copy_count == 0 and st_.m == 0 and st_.t == 0
+
+
+def test_per_edge_is_zero_where_no_copy_passes():
+    assert collection_stats(petersen_graph(), cycle_graph(7)).per_edge == (0,) * 15
+    # a 5-cycle with the pendant edge 4-5: edges (0,1) (0,4) (1,2) (2,3) (3,4) (4,5)
+    g = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5)])
+    assert list(g.edges()) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4), (4, 5)]
+    searched = collection_stats(g, cycle_graph(5))
+    listed = collection_stats_from_copies(g, cycle_graph(5), [[0, 1, 2, 3, 4]])
+    for st_ in (searched, listed):
+        assert st_.per_edge == (1, 1, 1, 1, 1, 0)
+        assert st_.per_vertex == (1, 1, 1, 1, 1, 0)
+        assert (st_.m, st_.t, st_.copy_count) == (0, 1, 1)
 
 
 def test_collection_stats_a7_pentagons():

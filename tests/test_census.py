@@ -46,9 +46,32 @@ def oracle_hexagon_supports(n: int) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
+def oracle_hexagon_census(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The support census through Python sets: each support's vertices and their edges."""
+    g = build_associahedron(n)
+    diagonals = [set(t.diagonals) for t in enumerate_triangulations(n)]
+    per_vertex = [0] * g.vertex_count
+    per_edge = {}
+    for support in hexagon_supports(n):
+        keep = [i for i, ds in enumerate(diagonals) if ds.issuperset(support)]
+        kset = set(keep)
+        for i in keep:
+            per_vertex[i] += 1
+            for j in g.neighbors_of(i):
+                j = int(j)
+                if j > i and j in kset:
+                    per_edge[(i, j)] = per_edge.get((i, j), 0) + 1
+    return tuple(per_vertex), tuple(per_edge.get(e, 0) for e in g.edges())
+
+
 def _index(t: Triangulation) -> int:
     """The flip-graph vertex (census row) of t."""
     return build_associahedron(t.n).labels.index(t.code())
+
+
+def _edge_index(n: int, u: int, v: int) -> int:
+    """The position of the flip edge uv (u < v) in the edge order of the census."""
+    return list(build_associahedron(n).edges()).index((u, v))
 
 
 def test_pentagon_vertex_formula_examples():
@@ -107,20 +130,20 @@ def test_pentagon_vertex_formula_matches_oracle(n):
 
 
 def test_pentagon_edge_examples():
-    assert pentagon_census(5).per_edge == {(u, v): 1 for u, v in build_associahedron(5).edges()}
+    assert pentagon_census(5).per_edge == (1,) * 5
     # hexagon edge between the two triangulations sharing (1,3) and (1,5)
     t1 = Triangulation(6, ((1, 3), (1, 4), (1, 5)))
     t2 = Triangulation(6, ((1, 3), (3, 5), (1, 5)))
     u, v = sorted((_index(t1), _index(t2)))
-    assert pentagon_census(6).per_edge[(u, v)] == 2
+    assert pentagon_census(6).per_edge[_edge_index(6, u, v)] == 2
 
 
 @pytest.mark.parametrize("n", range(5, 9))
 def test_pentagon_edge_formula_matches_oracle(n):
     g = build_associahedron(n)
     per_edge = pentagon_census(n).per_edge
-    assert list(per_edge) == list(g.edges())
-    for (u, v), c in per_edge.items():
+    assert len(per_edge) == g.edge_count
+    for (u, v), c in zip(g.edges(), per_edge, strict=True):
         assert 1 <= c <= 4
         assert c == pentagon_count_edge_oracle(g, u, v)
 
@@ -161,17 +184,22 @@ def test_hexagon_vertex_formula_matches_oracle(n):
 
 
 def test_hexagon_edge_single_class_n6():
-    assert hexagon_census(6).per_edge == {(u, v): 1 for u, v in build_associahedron(6).edges()}
+    assert hexagon_census(6).per_edge == (1,) * 21
 
 
 @pytest.mark.parametrize("n", range(6, 9))
 def test_hexagon_edge_matches_support_oracle(n):
     rep = hexagon_census(n)
     per_vertex, per_edge = hexagon_census_oracle(n)
-    assert list(rep.per_edge) == list(build_associahedron(n).edges())
+    assert len(per_edge) == build_associahedron(n).edge_count
     assert rep.per_edge == per_edge
-    assert all(1 <= c <= 14 for c in per_edge.values())
-    assert list(rep.per_vertex) == per_vertex
+    assert all(1 <= c <= 14 for c in per_edge)
+    assert rep.per_vertex == per_vertex
+
+
+@pytest.mark.parametrize("n", range(6, 10))
+def test_hexagon_support_oracle_matches_set_search(n):
+    assert hexagon_census_oracle(n) == oracle_hexagon_census(n)
 
 
 def test_hexagon_supports_counts():
@@ -208,10 +236,7 @@ def test_pentagon_census_oracle_matches_path_search(n):
     assert rep.oracle_per_vertex == tuple(
         pentagon_count_vertex_oracle(g, v) for v in range(g.vertex_count)
     )
-    assert list(rep.oracle_per_edge) == list(g.edges())
-    assert rep.oracle_per_edge == {
-        (u, v): pentagon_count_edge_oracle(g, u, v) for u, v in g.edges()
-    }
+    assert rep.oracle_per_edge == tuple(pentagon_count_edge_oracle(g, u, v) for u, v in g.edges())
 
 
 def test_pentagon_census_oracle_uses_no_path_search(monkeypatch):

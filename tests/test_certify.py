@@ -28,3 +28,19 @@ def test_certification_searches_each_flip_graph_for_pentagons_once(monkeypatch):
         flip_graphs[v] for v, k, e in searched if v in flip_graphs and (k, e) == (5, 5)
     )
     assert pentagon_hosts == {n: 1 for n in range(5, 10)}
+
+
+def test_subadditivity_claim_reads_the_slice_index(lambda_min_values):
+    # slice(k + l - 2, (1, k)) is A_k box A_l, so lambda_min(k + l - 2) is the left side
+    assert certify._claim_subadditivity(lambda_min_values).passed
+    slack = min(
+        lambda_min_values[k] + lambda_min_values[l] - lambda_min_values[k + l - 2]
+        for k in range(4, 8)
+        for l in range(k, 15 - k)
+    )
+    assert slack >= 0.414
+    lam = dict(lambda_min_values)
+    lam[7] = lam[4] + lam[5] + 0.1
+    claim = certify._claim_subadditivity(lam)
+    assert not claim.passed
+    assert claim.detail == "k=4,l=5"

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from flipspectra.errors import InvalidInputError
+from flipspectra.errors import InvalidInputError, RangeError
 from flipspectra.flipgraph import build_associahedron, cycle_graph, from_edges, path_graph
 from flipspectra.spectra import lambda_2
-from flipspectra.triangulations import Triangulation, fan_triangulation
+from flipspectra.triangulations import (
+    Triangulation,
+    dual_tree,
+    enumerate_triangulations,
+    fan_triangulation,
+)
 from flipspectra.walk import (
     WalkConfig,
     aldous_test_function,
-    central_triangle,
     dirichlet_quotient,
     gap_scan,
     simulate_walk,
@@ -102,6 +106,60 @@ def test_dirichlet_variational_upper_bound(assoc):
         assert rep.gap_upper >= gap - 1e-8
 
 
+def central_triangle(t: Triangulation) -> tuple[int, int, int]:
+    """Triangle at a centroid of the dual tree, by subtree sizes.
+
+    A centroid node leaves components of at most (n-2)/2 nodes when
+    removed; ties break toward the lexicographically smallest triple.
+    """
+    dt = dual_tree(t)
+    nn = dt.node_count
+    if nn == 1:
+        return dt.triangles[0]
+    adj = [[] for _ in range(nn)]
+    for i, j in dt.adjacency:
+        adj[i].append(j)
+        adj[j].append(i)
+    parent = [-1] * nn
+    order = []
+    stack = [0]
+    seen = [False] * nn
+    seen[0] = True
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for u in adj[v]:
+            if not seen[u]:
+                seen[u] = True
+                parent[u] = v
+                stack.append(u)
+    size = [1] * nn
+    for v in reversed(order):
+        if parent[v] >= 0:
+            size[parent[v]] += size[v]
+    best_val = None
+    best_tri = None
+    for v in range(nn):
+        worst = nn - size[v]
+        for u in adj[v]:
+            if u != parent[v]:
+                worst = max(worst, size[u])
+        key = (worst, dt.triangles[v])
+        if best_val is None or key < best_val:
+            best_val = key
+            best_tri = dt.triangles[v]
+    return best_tri
+
+
+def oracle_aldous_test_function(n: int) -> np.ndarray:
+    """The Aldous test function through validated triangulations and dual trees."""
+    p = n // 4
+    return np.array([
+        min(min(abs(a - p), n - abs(a - p)) for a in central_triangle(t))
+        for t in enumerate_triangulations(n)
+    ], dtype=float)
+
+
 def test_central_triangle_examples():
     star = Triangulation(6, ((1, 3), (3, 5), (1, 5)))
     assert central_triangle(star) == (1, 3, 5)
@@ -111,8 +169,6 @@ def test_central_triangle_examples():
 
 def test_central_triangle_is_a_centroid():
     # removing the chosen node leaves components of size at most (n-2)/2
-    from flipspectra.triangulations import dual_tree, enumerate_triangulations
-
     for t in enumerate_triangulations(8):
         chosen = central_triangle(t)
         dt = dual_tree(t)
@@ -151,6 +207,13 @@ def test_aldous_function_range_and_nonconstant():
 def test_aldous_needs_n_at_least_6():
     with pytest.raises(InvalidInputError):
         aldous_test_function(5)
+    with pytest.raises(RangeError):
+        aldous_test_function(9, max_n=8)
+
+
+@pytest.mark.parametrize("n", range(6, 12))
+def test_aldous_function_matches_dual_tree_oracle(n):
+    assert np.array_equal(aldous_test_function(n), oracle_aldous_test_function(n))
 
 
 def test_gap_scan_rows(lambda_2_values):
