@@ -16,7 +16,11 @@ seconds and their own peak RSS (``resource.getrusage``, the whole process):
 * ``census`` (n = 10..12): ``census --n N --oracle --edges`` through
   ``cli.main``, from cold, with its output discarded;
 * ``aldous`` (n = 10..12): the Aldous test function,
-  ``walk.aldous_test_function(n)``, from cold.
+  ``walk.aldous_test_function(n)``, from cold;
+* ``lmin`` and ``lam2`` (n = 9..12): ``spectra.lambda_min(g)`` and
+  ``spectra.lambda_2(g)`` under ``auto``, on the flip graph built (untimed)
+  in the same process; each also records the result's ``method`` and
+  ``iterations``.
 
 Only these names are used, so any checkout since the array build can be
 measured.  ``BENCH_<label>.json`` in the repository root holds the
@@ -47,12 +51,14 @@ STAGES = {
         "cli.main(['census', '--n', str(n), '--oracle', '--edges'])",
     ),
     "aldous": (range(10, 13), "", "walk.aldous_test_function(n)"),
+    "lmin": (range(9, 13), "g = fg.build_associahedron(n)", "result = spectra.lambda_min(g)"),
+    "lam2": (range(9, 13), "g = fg.build_associahedron(n)", "result = spectra.lambda_2(g)"),
 }
 
 CHILD = """
 import contextlib, ctypes, json, os, resource, sys, time
 import numpy, scipy
-from flipspectra import cli, walk
+from flipspectra import cli, spectra, walk
 from flipspectra import flipgraph as fg
 
 def rss_mb():
@@ -70,16 +76,18 @@ def blas_threads():
     return out
 
 n = int(sys.argv[1])
+result = None  # a solve stage's SpectralResult
 import_rss = rss_mb()
 %s
 setup_rss = rss_mb()
 t0 = time.perf_counter()
 %s
 seconds = time.perf_counter() - t0
+solve = {} if result is None else {"method": result.method, "iterations": result.iterations}
 print(json.dumps({"seconds": seconds, "peak_rss_mb": rss_mb(), "import_rss_mb": import_rss,
                   "setup_rss_mb": setup_rss,
                   "numpy": numpy.__version__, "scipy": scipy.__version__,
-                  "blas_threads": blas_threads()}))
+                  "blas_threads": blas_threads(), **solve}))
 """
 
 
@@ -115,6 +123,9 @@ def main() -> int:
                 "seconds_runs": [round(r["seconds"], 4) for r in runs],
                 "peak_rss_mb_runs": [round(r["peak_rss_mb"], 1) for r in runs],
             }
+            if "method" in last:
+                entry["method"] = last["method"]
+                entry["iterations"] = last["iterations"]
             stages[stage][str(n)] = entry
             print(f"n={n:>2} {stage:<6} {entry['seconds']:8.3f} s {entry['peak_rss_mb']:7.1f} MB",
                   flush=True)

@@ -16,13 +16,20 @@ enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import combinations
 
 import numpy as np
 
 from .bounds import collection_stats
 from .errors import CapacityError, InvalidInputError
-from .flipgraph import Graph, _check_range, _flip_pass, build_associahedron, cycle_graph
+from .flipgraph import (
+    Graph,
+    _check_range,
+    _flip_pass,
+    _row_index,
+    build_associahedron,
+    cycle_graph,
+)
 from .triangulations import Triangulation, _diagonal_ids, _id_rows, polygon_regions
 
 CENSUS_LIMIT_DEFAULT = 20000
@@ -160,6 +167,42 @@ def hexagon_count_vertex_oracle(n: int, t: Triangulation) -> int:
 # ---------------------------------------------------------------------------
 # hexagon-flip subgraphs through an edge
 
+def _hexagon_faces(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(corners, held) of every hexagonal face of a triangulation, row by row.
+
+    corners[f] holds the face's six corners, ascending and 0-based, and
+    held[f] the diagonal ids of its support: each pocket between
+    consecutive corners with g >= 3 polygon vertices adds its closing
+    chord and one triangulation of the g-gon.
+    """
+    if n < 6:
+        raise InvalidInputError("hexagon supports need n >= 6")
+    _, lookup = _diagonal_ids(n)
+    shapes: dict[int, np.ndarray] = {}  # g -> 0-based diagonal ends of each g-gon triangulation
+    corners, held = [], []
+    for face in combinations(range(n), 6):
+        picks = np.zeros((1, 0), dtype=np.uint8)
+        for a, b in zip(face, face[1:] + (face[0] + n,)):
+            g = b - a + 1
+            if g < 3:  # the hexagon side is a polygon side
+                continue
+            if g not in shapes:
+                ends, _ = _diagonal_ids(g)
+                shapes[g] = ends[_id_rows(g)]
+            x, y = (np.arange(a, b + 1) % n)[shapes[g]].transpose(2, 0, 1)
+            options = np.column_stack([
+                np.full(len(x), lookup[min(a, b % n), max(a, b % n)]),  # the closing chord
+                lookup[np.minimum(x, y), np.maximum(x, y)],
+            ]).astype(np.uint8)
+            # every earlier pick with every option, the earlier pockets varying slowest
+            picks = np.hstack([
+                np.repeat(picks, len(options), axis=0), np.tile(options, (len(picks), 1))
+            ])
+        corners.append(np.tile(np.array(face, dtype=np.uint8), (len(picks), 1)))
+        held.append(picks)
+    return np.concatenate(corners), np.concatenate(held)
+
+
 def hexagon_supports(n: int) -> list[tuple[tuple[int, int], ...]]:
     """All diagonal sets whose complement is one hexagonal face plus triangles.
 
@@ -169,28 +212,10 @@ def hexagon_supports(n: int) -> list[tuple[tuple[int, int], ...]]:
     corners with g >= 3 polygon vertices adds its closing chord and one
     triangulation of the g-gon.  Sorted, each set ascending.
     """
-    if n < 6:
-        raise InvalidInputError("hexagon supports need n >= 6")
-    shapes: dict[int, np.ndarray] = {}  # g -> 0-based diagonal ends of each g-gon triangulation
-    out = []
-    for corners in combinations(range(1, n + 1), 6):
-        choices = []
-        for a, b in zip(corners, corners[1:] + (corners[0] + n,)):
-            g = b - a + 1
-            if g < 3:  # the hexagon side is a polygon side
-                continue
-            if g not in shapes:
-                ends, _ = _diagonal_ids(g)
-                shapes[g] = ends[_id_rows(g)]
-            pocket = (np.arange(a, b + 1) - 1) % n + 1
-            chords = np.sort(pocket[shapes[g]], axis=-1).tolist()
-            closing = sorted((a, (b - 1) % n + 1))
-            choices.append([[closing, *tri] for tri in chords])
-        out.extend(
-            tuple(sorted(map(tuple, chain.from_iterable(pick)))) for pick in product(*choices)
-        )
-    out.sort()
-    return out
+    # ids follow the diagonals' lexicographic order, so sorted ids give sorted sets
+    held = np.sort(_hexagon_faces(n)[1], axis=1)
+    ends, _ = _diagonal_ids(n)
+    return sorted(tuple(map(tuple, support)) for support in (ends[held] + 1).tolist())
 
 
 def hexagon_census_oracle(
@@ -200,23 +225,26 @@ def hexagon_census_oracle(
 
     For every support set, counts all vertices (triangulations containing
     it) and all internal flip edges: the slots of the neighbour array that
-    join two of its vertices.  Returns the per-vertex and per-edge counts,
-    in vertex order and in the order of ``Graph.edges()``.  Independent of
+    join two of its vertices.  The vertices of a support are its n - 6
+    diagonals plus one of the 14 triangulations of its hexagon, looked up
+    by their id rows.  Returns the per-vertex and per-edge counts, in
+    vertex order and in the order of ``Graph.edges()``.  Independent of
     the dual-tree arithmetic of the formula route.
     """
     g = build_associahedron(n, max_n)
-    rows = _id_rows(n)
-    ends, lookup = _diagonal_ids(n)
-    # holds[v, d]: triangulation v contains diagonal d
-    holds = np.zeros((len(rows), len(ends)), dtype=bool)
-    holds[np.arange(len(rows))[:, None], rows] = True
-    per_vertex = np.zeros(g.vertex_count, dtype=np.int64)
+    _, lookup = _diagonal_ids(n)
+    corners, held = _hexagon_faces(n)
+    count = len(corners)
+    # the hexagon's triangulations on the face's corners, which ascend, so i < j
+    hexagon = _diagonal_ids(6)[0][_id_rows(6)]
+    inner = lookup[corners[:, hexagon[..., 0]], corners[:, hexagon[..., 1]]]
+    shape = (count, len(hexagon), n - 6)
+    rows = np.concatenate([np.broadcast_to(held[:, None], shape), inner], axis=2)
+    verts = _row_index(n, rows.reshape(-1, n - 3)).reshape(count, -1)
+    per_vertex = np.bincount(verts.ravel(), minlength=g.vertex_count)
     per_arc = np.zeros(len(g.neighbors), dtype=np.int64)
     inside = np.zeros(g.vertex_count, dtype=bool)  # marks one support's vertices at a time
-    for support in hexagon_supports(n):
-        ids = [lookup[i - 1, j - 1] for i, j in support]
-        keep = np.flatnonzero(holds[:, ids].all(axis=1))
-        per_vertex[keep] += 1
+    for keep in verts:
         slots = (g.offsets[keep, None] + np.arange(n - 3)).ravel()
         inside[keep] = True
         per_arc[slots[inside[g.neighbors[slots]]]] += 1
@@ -263,7 +291,12 @@ def ear_counts(n: int, max_n: int | None = None) -> tuple[int, ...]:
 # report builders
 
 def pentagon_census(
-    n: int, oracle: bool = False, limit: int | None = None, max_n: int | None = None
+    n: int,
+    oracle: bool = False,
+    limit: int | None = None,
+    max_n: int | None = None,
+    *,
+    _flips: tuple[np.ndarray, ...] | None = None,
 ) -> CensusReport:
     """5-cycles through each vertex and each edge of the flip graph.
 
@@ -272,11 +305,12 @@ def pentagon_census(
     dual tree, which is half the sum of its edges' counts.  The oracle
     counts the subgraph copies of C5 with the array copy search
     ``bounds.collection_stats``, under the census cap ``limit``.
+    ``_flips`` is ``_flip_pass(n)`` when the caller already holds it.
     """
     if n < 5:
         raise InvalidInputError("pentagon census needs n >= 5")
     _check_range(n, max_n)
-    _, a, b, p, q, target = _flip_pass(n)
+    _, a, b, p, q, target = _flip_pass(n) if _flips is None else _flips
     edge = _degree(n, a, b, p) + _degree(n, a, b, q) - 2
     per_vertex = tuple((edge.sum(axis=1) // 2).tolist())
     o_vertex = o_edge = None
@@ -287,7 +321,13 @@ def pentagon_census(
     return CensusReport(n, "pentagon", per_vertex, _edge_counts(target, edge), o_vertex, o_edge)
 
 
-def hexagon_census(n: int, oracle: bool = False, max_n: int | None = None) -> CensusReport:
+def hexagon_census(
+    n: int,
+    oracle: bool = False,
+    max_n: int | None = None,
+    *,
+    _flips: tuple[np.ndarray, ...] | None = None,
+) -> CensusReport:
     """Hexagon-flip subgraphs through each vertex and each edge of the flip graph.
 
     Through a vertex: the 4-node subtrees of its dual tree, paths
@@ -295,12 +335,13 @@ def hexagon_census(n: int, oracle: bool = False, max_n: int | None = None) -> Ce
     3.  Through the flip edge of ab, whose quadrilateral apbq has c
     diagonal sides: C(c, 2) merges with two triangles across distinct
     sides, plus, per diagonal side xy, one merge with each further
-    diagonal side of the triangle xyz across it.
+    diagonal side of the triangle xyz across it.  ``_flips`` is
+    ``_flip_pass(n)`` when the caller already holds it.
     """
     if n < 6:
         raise InvalidInputError("hexagon census needs n >= 6")
     _check_range(n, max_n)
-    masks, a, b, p, q, target = _flip_pass(n)
+    masks, a, b, p, q, target = _flip_pass(n) if _flips is None else _flips
     dp, dq = _degree(n, a, b, p), _degree(n, a, b, q)
     stars = ((dp == 3).sum(axis=1) + (dq == 3).sum(axis=1)) // 3  # seen once per side
     per_vertex = tuple((((dp - 1) * (dq - 1)).sum(axis=1) + stars).tolist())

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bounds, census, certify, spectra, walk
 from .errors import CapacityError, ConvergenceError, InvalidInputError
-from .flipgraph import build_associahedron, write_edge_list
+from .flipgraph import _flip_pass, build_associahedron, write_edge_list
 from .reference import LAMBDA_2_TABLE, LAMBDA_MIN_TABLE
 
 EXIT_OK = 0
@@ -131,8 +131,12 @@ def cmd_spectrum(args) -> int:
 def cmd_census(args) -> int:
     fh = io.StringIO()
     t1 = census.ear_counts(args.n, args.max_n)
-    pent = census.pentagon_census(args.n, oracle=args.oracle, max_n=args.max_n)
-    hexa = census.hexagon_census(args.n, args.oracle, args.max_n) if args.n >= 6 else None
+    flips = _flip_pass(args.n)  # one flip pass serves both censuses
+    pent = census.pentagon_census(args.n, oracle=args.oracle, max_n=args.max_n, _flips=flips)
+    hexa = (
+        census.hexagon_census(args.n, args.oracle, args.max_n, _flips=flips)
+        if args.n >= 6 else None
+    )
     if args.edges:
         if args.oracle:
             fh.write("u,v,pentagon_count,pentagon_oracle,hexagon_count,hexagon_oracle\n")

@@ -5,7 +5,8 @@ which keeps matrix-vector products cache friendly.  The flip graph is built
 from the array enumeration of the triangulations (``triangulations._id_rows``,
 one row of diagonal ids each) in one vectorised flip pass, which the census
 also reads.  Besides the flip graph itself the module builds box products,
-induced subgraphs and diagonal slices.
+induced subgraphs and diagonal slices, and the orbits of the polygon's
+rotation on the flip graph's vertices.
 """
 
 from __future__ import annotations
@@ -28,13 +29,16 @@ class Graph:
     """Undirected simple graph in compressed adjacency form.
 
     ``labels`` optionally carries the triangulation code of each vertex.
-    ``degree`` is set when every vertex has the same degree.
+    ``degree`` is set when every vertex has the same degree.  ``polygon``
+    is n on the flip graph of the n-gon, whose vertices the polygon's
+    rotation permutes (``rotation_orbits``), and None on every other graph.
     """
 
     offsets: np.ndarray
     neighbors: np.ndarray
     labels: tuple[str, ...] | None = None
     degree: int | None = None
+    polygon: int | None = None
 
     @property
     def vertex_count(self) -> int:
@@ -167,8 +171,7 @@ def _flip_pass(n: int) -> tuple[np.ndarray, ...]:
         p[:, i] = np.frexp(common ^ bit[q[:, i]])[1] - 1
         flipped = rows.copy()
         flipped[:, i] = lookup[p[:, i], q[:, i]]
-        flipped.sort(axis=1)
-        target[:, i] = np.searchsorted(_row_keys(rows), _row_keys(flipped))
+        target[:, i] = _row_index(n, flipped)
     return masks, a, b, p, q, target
 
 
@@ -183,7 +186,7 @@ def _associahedron_cached(n: int) -> Graph:
     names = np.array([f"{i + 1}-{j + 1}" for i, j in ends.tolist()], dtype=object)
     labels = tuple(map(",".join, names[rows].tolist()))
     offsets = np.arange(count + 1, dtype=np.int64) * k
-    return Graph(offsets, nbrs.reshape(-1), labels, k)
+    return Graph(offsets, nbrs.reshape(-1), labels, k, polygon=n)
 
 
 def build_associahedron(n: int, max_n: int | None = None) -> Graph:
@@ -269,6 +272,38 @@ def _row_index(m: int, rows: np.ndarray) -> np.ndarray:
         return np.zeros(len(rows), dtype=np.int64)
     rows.sort(axis=1)
     return np.searchsorted(_row_keys(_id_rows(m)), _row_keys(rows))
+
+
+@lru_cache(maxsize=32)
+def rotation_orbits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rep, shift, size) of every vertex of the flip graph of the n-gon.
+
+    R rotates a triangulation by one step, polygon vertex i to i + 1; it
+    is an automorphism of the flip graph.  Vertex v lies in the orbit of
+    rep[v], the least vertex in it, with v = R^shift[v](rep[v]) and
+    0 <= shift[v] < size[v], the orbit's size, which divides n.  The
+    range of n is the caller's to check.
+    """
+    rows = _id_rows(n)
+    ends, lookup = _diagonal_ids(n)
+    # lookup is filled for i < j only, so order each rotated pair
+    a, b = ((ends + 1) % n).T
+    turn = lookup[np.minimum(a, b), np.maximum(a, b)]
+    rot = _row_index(n, turn[rows])
+    count = len(rows)
+    v = np.arange(count)
+    rep, back = v.copy(), np.zeros(count, dtype=np.int64)  # R^back(v) = rep
+    size = np.full(count, n, dtype=np.int64)
+    cur = v
+    for t in range(1, n):
+        cur = rot[cur]
+        lower = cur < rep
+        rep[lower], back[lower] = cur[lower], t
+        size[(cur == v) & (size == n)] = t
+    shift = -back % size
+    for arr in (rep, shift, size):
+        arr.flags.writeable = False
+    return rep, shift, size
 
 
 def slice_product_map(n: int, k: int) -> np.ndarray:

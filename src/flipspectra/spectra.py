@@ -1,4 +1,4 @@
-"""Extreme adjacency eigenvalues: dense at small scale, ARPACK beyond.
+"""Extreme adjacency eigenvalues: dense, by rotation sectors, or by ARPACK.
 
 The iterative path is ARPACK's implicitly restarted Lanczos method
 (``scipy.sparse.linalg.eigsh``; Lehoucq, Sorensen and Yang, *ARPACK
@@ -10,28 +10,42 @@ on a d-regular graph this is A on the complement of the constant Perron
 vector, while the Perron value d moves to -(d+1), below all of A's
 spectrum.
 
-ARPACK's answer is checked, not trusted: the reported value is the
-Rayleigh quotient of the returned unit vector and the residual
-||A x - value x|| is computed from A.  A residual above ``tol`` raises
-ConvergenceError.
+The sector path serves flip graphs (``Graph.polygon`` set).  Rotating
+the n-gon by one step commutes with A, so A splits into one Hermitian
+block per rotation frequency j, on the orbit representatives whose orbit
+size s has j s = 0 (mod n) (momentum sectors; A. W. Sandvik, *AIP Conf.
+Proc.* 1297, 135, 2010).  Blocks j and n - j are complex conjugates with
+one spectrum, so the blocks j = 0..n//2 are solved densely with
+``scipy.linalg``; the eigenvector comes from the winning block alone and
+is lifted to the whole graph.
 
-``auto`` picks the dense solver up to AUTO_DENSE_LIMIT vertices, where a
-full ``eigh`` beats ARPACK, and for irregular graphs, which the iterative
-path rejects, up to the dense capacity DENSE_LIMIT_DEFAULT.
+No answer is trusted: on the iterative and sector paths the reported
+value is the Rayleigh quotient of a real unit vector on the full A and
+the residual ||A x - value x|| is computed from A.  A residual above
+``tol`` raises ConvergenceError.
+
+``auto`` picks, in this order: the dense solver up to AUTO_DENSE_LIMIT
+vertices, where a full ``eigh`` beats ARPACK, and for irregular graphs,
+which the iterative path rejects, up to the dense capacity
+DENSE_LIMIT_DEFAULT; the sectors on a flip graph whose largest block,
+block 0 with one row per rotation orbit, fits both AUTO_DENSE_LIMIT and
+the dense cap; ARPACK otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 
 from .errors import CapacityError, ConvergenceError, InvalidInputError
-from .flipgraph import Graph, is_connected
+from .flipgraph import Graph, _associahedron_cached, is_connected, rotation_orbits
 
 DENSE_LIMIT_DEFAULT = 5000  # capacity of the dense solver
-# auto switches to ARPACK above this many vertices.  Measured dense / ARPACK
+# auto leaves the dense solver above this many vertices, and gives the
+# sector path flip graphs whose blocks fit it.  Measured dense / ARPACK
 # lambda_min on a 2-core machine: 1.0 / 4.2 ms on A8 (132 vertices) and
 # 12 / 8.4 ms on A9 (429); on random cubic graphs they meet at 300-350.
 AUTO_DENSE_LIMIT = 300
@@ -41,8 +55,8 @@ AUTO_DENSE_LIMIT = 300
 class SpectralResult:
     value: float
     residual: float  # ||A x - value * x||_2 with ||x||_2 = 1
-    method: str      # "dense" or "iterative"
-    iterations: int  # operator applications; 0 on the dense path
+    method: str      # "dense", "sectors" or "iterative"
+    iterations: int  # operator applications; 0 on the dense and sector paths
     tolerance: float
 
 
@@ -155,14 +169,98 @@ def _dense_extreme(g: Graph, index: int, tol: float) -> SpectralResult:
     return SpectralResult(value, residual, "dense", 0, tol)
 
 
+def _block(g: Graph, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, at): the rotation-frequency-j block of the flip graph g's adjacency.
+
+    The block acts on the orbit representatives a with j s_a = 0 (mod n),
+    s_a the orbit size; at[v] is the row of v's representative, or -1 when
+    v's orbit lies outside the sector.  B[b, a] = sqrt(s_a / s_b) times the
+    sum of omega^(-j t) over the neighbours R^t(b) of a, with
+    omega = e^(2 pi i / n).  Real at j = 0 and j = n/2.
+    """
+    n = g.polygon
+    rep, shift, size = rotation_orbits(n)
+    reps = np.flatnonzero((rep == np.arange(len(rep))) & (j * size % n == 0))
+    m = len(reps)
+    row = np.full(len(rep), -1)
+    row[reps] = np.arange(m)
+    at = row[rep]
+    a, w = g.neighbor_pairs(reps)
+    b = at[w]
+    keep = b >= 0
+    a, w, b = a[keep], w[keep], b[keep]
+    phase = np.exp(-2j * np.pi * j / n * np.arange(n))[shift[w]]
+    weight = phase * np.sqrt(size[reps[a]] / size[w])
+    block = np.bincount(b * m + a, weight.real, minlength=m * m).reshape(m, m)
+    if 2 * j % n:
+        block = block + 1j * np.bincount(b * m + a, weight.imag, minlength=m * m).reshape(m, m)
+    return block, at
+
+
+@lru_cache(maxsize=32)
+def _sector_eigenvalues(n: int) -> tuple[np.ndarray, ...]:
+    """Ascending eigenvalues of the blocks j = 0..n//2 of the n-gon's flip graph."""
+    g = _associahedron_cached(n)
+    blocks = tuple(scipy.linalg.eigvalsh(_block(g, j)[0]) for j in range(n // 2 + 1))
+    for vals in blocks:
+        vals.flags.writeable = False
+    return blocks
+
+
+def _sectors(g: Graph, second: bool, tol: float) -> SpectralResult:
+    """lambda_min, or lambda_2 if ``second``, of a flip graph from its rotation blocks."""
+    n = g.polygon
+    picks = []  # (eigenvalue, j, its index in block j)
+    for j, vals in enumerate(_sector_eigenvalues(n)):
+        # block 0 holds the constant vector, whose Perron value d is its largest
+        index = len(vals) - 1 - (j == 0) if second else 0
+        if 0 <= index < len(vals):
+            picks.append((vals[index], j, index))
+    _, j, index = max(picks) if second else min(picks)
+    block, at = _block(g, j)
+    vec = scipy.linalg.eigh(block, subset_by_index=[index, index])[1][:, 0]
+    # lift: c_rep omega^(j t) / sqrt(s) at v = R^t(rep), zero outside the sector.
+    # Its real part is an eigenvector too, as A is real, and never vanishes:
+    # at j = 0 and n/2 the lift is real, and otherwise omega^(2j) != 1, so
+    # over each orbit cos^2 of the phases averages 1/2 and half the norm stays
+    _, shift, size = rotation_orbits(n)
+    inside = at >= 0
+    x = np.zeros(g.vertex_count)
+    phase = np.exp(2j * np.pi * j / n * shift[inside])
+    x[inside] = (vec[at[inside]] * phase).real / np.sqrt(size[inside])
+    x = x / np.linalg.norm(x)
+    ax = x[g.neighbors].reshape(g.vertex_count, g.degree).sum(axis=1)
+    value = float(x @ ax)
+    result = SpectralResult(value, float(np.linalg.norm(ax - value * x)), "sectors", 0, tol)
+    if result.residual > tol:
+        raise ConvergenceError(
+            f"sector solve left residual {result.residual:.3e} above {tol:g}", best=result
+        )
+    return result
+
+
 def _choose_method(g: Graph, method: str, dense_limit: int | None) -> str:
     cap = DENSE_LIMIT_DEFAULT if dense_limit is None else dense_limit
-    if method == "auto":
-        small = g.vertex_count <= AUTO_DENSE_LIMIT or g.degree is None
-        return "dense" if small and g.vertex_count <= cap else "iterative"
+    auto = method == "auto"
+    if auto:
+        if g.vertex_count <= AUTO_DENSE_LIMIT or g.degree is None:
+            return "dense" if g.vertex_count <= cap else "iterative"
+        # the largest block has at least N/n rows: skip the orbits when that cannot fit
+        if g.polygon is None or g.vertex_count > g.polygon * AUTO_DENSE_LIMIT:
+            return "iterative"
+        method, cap = "sectors", min(AUTO_DENSE_LIMIT, cap)
     if method == "dense" and g.vertex_count > cap:
         raise CapacityError(f"dense solver limited to {cap} vertices")
-    if method not in ("dense", "iterative"):
+    if method == "sectors":
+        if g.polygon is None:
+            raise InvalidInputError("the sector solver needs a flip graph")
+        rep = rotation_orbits(g.polygon)[0]
+        rows = int((rep == np.arange(len(rep))).sum())  # block 0 holds every orbit
+        if rows > cap:
+            if auto:
+                return "iterative"
+            raise CapacityError(f"sector block of {rows} rows exceeds the dense cap of {cap}")
+    if method not in ("dense", "iterative", "sectors"):
         raise InvalidInputError(f"unknown method {method!r}")
     # ARPACK needs more vertices than wanted eigenvalues
     return "dense" if g.vertex_count == 1 else method
@@ -183,8 +281,11 @@ def lambda_min(
     """
     if g.vertex_count == 0:
         raise InvalidInputError("empty graph")
-    if _choose_method(g, method, dense_limit) == "dense":
+    chosen = _choose_method(g, method, dense_limit)
+    if chosen == "dense":
         return _dense_extreme(g, 0, tol)
+    if chosen == "sectors":
+        return _sectors(g, False, tol)
     return _iterative(g, False, tol, seed, max_iterations)
 
 
@@ -205,8 +306,11 @@ def lambda_2(
         raise InvalidInputError("second eigenvalue undefined on fewer than 2 vertices")
     if not is_connected(g):
         raise InvalidInputError("graph must be connected")
-    if _choose_method(g, method, dense_limit) == "dense":
+    chosen = _choose_method(g, method, dense_limit)
+    if chosen == "dense":
         return _dense_extreme(g, g.vertex_count - 2, tol)
+    if chosen == "sectors":
+        return _sectors(g, True, tol)
     return _iterative(g, True, tol, seed, max_iterations)
 
 

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from flipspectra import bounds, census
+from flipspectra import bounds, census, cli
 from flipspectra.census import (
     count_pentagons_total,
     ear_counts,
@@ -16,7 +16,13 @@ from flipspectra.census import (
     pentagon_count_vertex_oracle,
 )
 from flipspectra.errors import CapacityError, InvalidInputError
-from flipspectra.flipgraph import Graph, build_associahedron, cycle_graph, petersen_graph
+from flipspectra.flipgraph import (
+    Graph,
+    _flip_pass,
+    build_associahedron,
+    cycle_graph,
+    petersen_graph,
+)
 from flipspectra.triangulations import (
     Triangulation,
     crosses,
@@ -187,7 +193,7 @@ def test_hexagon_edge_single_class_n6():
     assert hexagon_census(6).per_edge == (1,) * 21
 
 
-@pytest.mark.parametrize("n", range(6, 9))
+@pytest.mark.parametrize("n", range(6, 12))
 def test_hexagon_edge_matches_support_oracle(n):
     rep = hexagon_census(n)
     per_vertex, per_edge = hexagon_census_oracle(n)
@@ -263,3 +269,29 @@ def test_pentagon_census_oracle_keeps_the_census_cap(monkeypatch):
     rep = pentagon_census(7, oracle=True, limit=42)
     assert rep.oracle_per_vertex == rep.per_vertex
     assert pentagon_census(7, oracle=True).oracle_per_edge == rep.per_edge
+
+
+def test_hexagon_support_oracle_needs_a_hexagon():
+    with pytest.raises(InvalidInputError):
+        hexagon_census_oracle(5)
+
+
+def test_census_reports_read_a_given_flip_pass():
+    flips = _flip_pass(9)
+    assert pentagon_census(9, _flips=flips) == pentagon_census(9)
+    assert hexagon_census(9, _flips=flips) == hexagon_census(9)
+
+
+@pytest.mark.parametrize("extra", [[], ["--edges"], ["--oracle"], ["--oracle", "--edges"]])
+def test_census_command_runs_one_flip_pass(monkeypatch, capsys, extra):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return _flip_pass(n)
+
+    monkeypatch.setattr(cli, "_flip_pass", counted)
+    monkeypatch.setattr(census, "_flip_pass", lambda n: pytest.fail("census ran its own pass"))
+    assert cli.main(["census", "--n", "8", *extra]) == 0
+    assert calls == [8]
+    assert capsys.readouterr().out

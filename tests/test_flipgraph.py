@@ -384,3 +384,71 @@ def test_edge_list_export():
     buf = io.StringIO()
     write_edge_list(build_associahedron(4), buf)
     assert buf.getvalue() == "# vertices=2 degree=1\n0 1\n"
+
+
+def rotation_oracle(n):
+    """R as a permutation: each triangulation's code turned by one step, i to i + 1."""
+    labels = build_associahedron(n).labels
+    index = {code: v for v, code in enumerate(labels)}
+    turned = []
+    for code in labels:
+        diagonals = [tuple(map(int, d.split("-"))) for d in code.split(",") if d]
+        moved = sorted(tuple(sorted((i % n + 1, j % n + 1))) for i, j in diagonals)
+        turned.append(index[",".join(f"{i}-{j}" for i, j in moved)])
+    return np.array(turned)
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_rotation_is_an_automorphism_of_order_n(n):
+    g = build_associahedron(n)
+    rot = rotation_oracle(n)
+    assert np.array_equal(np.sort(rot), np.arange(g.vertex_count))
+    u, v = g.arcs()
+    assert np.array_equal(np.sort(rot[u] * g.vertex_count + rot[v]), g.arc_keys())
+    power = np.arange(g.vertex_count)
+    for _ in range(n):
+        power = rot[power]
+    assert np.array_equal(power, np.arange(g.vertex_count))
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_rotation_orbits_match_the_rotation(n):
+    rot = rotation_oracle(n)
+    rep, shift, size = fg.rotation_orbits(n)
+    count = len(rot)
+    orbit = [np.arange(count)]  # orbit[t] = R^t(v)
+    for _ in range(n):
+        orbit.append(rot[orbit[-1]])
+    orbit = np.array(orbit)
+    assert np.array_equal(rep, orbit.min(axis=0))
+    assert (n % size == 0).all() and (shift >= 0).all() and (shift < size).all()
+    # size is the least t > 0 with R^t(v) = v
+    back = orbit[1:] == np.arange(count)
+    assert np.array_equal(size, back.argmax(axis=0) + 1)
+    assert np.array_equal(orbit[shift, rep], np.arange(count))
+    assert (size == size[rep]).all()
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_rotation_block_sizes_sum_to_the_vertex_count(n):
+    rep, _, size = fg.rotation_orbits(n)
+    reps = rep == np.arange(len(rep))
+    total = 0
+    for j in range(n // 2 + 1):
+        block = int((reps & (j * size % n == 0)).sum())
+        total += block if 2 * j % n == 0 else 2 * block  # j and n - j
+    assert total == catalan(n - 2)
+
+
+def test_only_the_flip_graph_has_a_rotation():
+    assert [build_associahedron(n).polygon for n in range(3, 9)] == list(range(3, 9))
+    a5 = build_associahedron(5)
+    others = [
+        from_edges(3, [(0, 1), (1, 2)]),
+        cycle_graph(5),
+        random_regular_graph(10, 3, seed=1),
+        induced_subgraph(a5, range(5))[0],
+        box_product(a5, a5),
+        diagonal_slice(8, (1, 4)),
+    ]
+    assert all(h.polygon is None for h in others)

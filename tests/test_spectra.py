@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from flipspectra.flipgraph import (
     box_product,
     complete_graph,
     cycle_graph,
+    diagonal_slice,
     induced_subgraph,
     path_graph,
     petersen_graph,
@@ -20,6 +25,7 @@ from flipspectra.flipgraph import (
 from flipspectra.reference import A6_SPECTRUM_CORRECTED
 from flipspectra.spectra import (
     AUTO_DENSE_LIMIT,
+    _sector_eigenvalues,
     cycle_spectrum,
     dense_spectrum,
     lambda_2,
@@ -248,3 +254,109 @@ def test_iterative_seed_determinism():
     a = lambda_min(g, method="iterative", seed=42)
     b = lambda_min(g, method="iterative", seed=42)
     assert a == b
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_sector_spectra_make_up_the_dense_spectrum(n, assoc):
+    vals = []
+    for j, block in enumerate(_sector_eigenvalues(n)):
+        vals.extend(block if 2 * j % n == 0 else np.repeat(block, 2))  # j and n - j
+    want = dense_spectrum(assoc(n)).eigenvalues
+    assert len(vals) == len(want)
+    assert np.abs(np.sort(vals)[::-1] - want).max() <= 1e-9
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_sectors_match_dense(n, assoc):
+    g = assoc(n)
+    for solver in (lambda_min, lambda_2):
+        sec = solver(g, method="sectors")
+        assert (sec.method, sec.iterations) == ("sectors", 0)
+        assert abs(sec.value - solver(g, method="dense").value) <= 1e-9
+        assert sec.residual <= sec.tolerance == 1e-9
+
+
+def test_sectors_match_iterative_at_n11(assoc):
+    g = assoc(11)
+    for solver in (lambda_min, lambda_2):
+        sec = solver(g, method="sectors")
+        it = solver(g, method="iterative")
+        assert sec.residual <= 1e-9 and it.residual <= 1e-9
+        assert abs(sec.value - it.value) <= sec.residual + it.residual
+
+
+def test_auto_gives_sectors_to_mid_sized_flip_graphs_only(assoc):
+    for solver in (lambda_min, lambda_2):
+        assert [solver(assoc(n)).method for n in (8, 9, 10, 11)] == [
+            "dense", "sectors", "sectors", "iterative"
+        ]
+    # regular graphs above the crossover without a rotation go to ARPACK
+    others = [
+        diagonal_slice(11, (1, 6)),
+        box_product(assoc(6), assoc(7)),
+        random_regular_graph(2 * AUTO_DENSE_LIMIT, 3, seed=2),
+    ]
+    for h in others:
+        assert h.vertex_count > AUTO_DENSE_LIMIT
+        assert lambda_min(h).method == lambda_2(h).method == "iterative"
+        with pytest.raises(InvalidInputError):
+            lambda_min(h, method="sectors")
+
+
+def test_sectors_keep_the_dense_cap(assoc):
+    # block 0 of A9 holds all 49 rotation orbits
+    with pytest.raises(CapacityError):
+        lambda_min(assoc(9), method="sectors", dense_limit=48)
+    assert lambda_min(assoc(9), method="sectors", dense_limit=49).method == "sectors"
+    assert lambda_min(assoc(9), dense_limit=40).method == "iterative"
+    # A10 has 150 orbits, more than 1430 / 10 = 143: auto and an explicit
+    # request read the same block size against the cap
+    for cap in (143, 149):
+        assert lambda_min(assoc(10), dense_limit=cap).method == "iterative"
+        with pytest.raises(CapacityError):
+            lambda_min(assoc(10), method="sectors", dense_limit=cap)
+    assert lambda_min(assoc(10), dense_limit=150).method == "sectors"
+
+
+def test_sector_residual_above_tol_raises(assoc):
+    with pytest.raises(ConvergenceError) as err:
+        lambda_min(assoc(9), method="sectors", tol=1e-30)
+    best = err.value.best
+    assert best.method == "sectors"
+    assert abs(best.value - lambda_min(assoc(9), method="dense").value) <= 1e-9
+
+
+_SECTOR_VALUES = (
+    "from flipspectra import build_associahedron, lambda_2, lambda_min\n"
+    "for n in (9, 10):\n"
+    "    g = build_associahedron(n)\n"
+    "    print(repr(lambda_min(g)), repr(lambda_2(g)))\n"
+)
+
+
+def _python(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_sector_results_repeat_across_calls_and_processes(assoc):
+    for n in (9, 10):
+        g = assoc(n)
+        for solver in (lambda_min, lambda_2):
+            assert solver(g) == solver(g)
+    assert _python(_SECTOR_VALUES) == _python(_SECTOR_VALUES)
+
+
+def test_tables_and_claims_to_n10_do_not_import_scipy_sparse():
+    code = (
+        "import contextlib, io, sys\n"
+        "from flipspectra import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['table', '--kind', 'lambda_min', '--n-max', '10']),\n"
+        "             cli.main(['table', '--kind', 'lambda_2', '--n-max', '10']),\n"
+        "             cli.main(['bounds', '--certify', '--n-max', '10'])]\n"
+        "print(codes, 'scipy.sparse' in sys.modules)\n"
+    )
+    assert _python(code) == "[0, 0, 0] False\n"
