@@ -12,7 +12,10 @@ seconds and their own peak RSS (``resource.getrusage``, the whole process):
   already enumerated (untimed) in the same process.  Its ``peak_rss_mb`` is
   the larger of that setup's peak and the flip pass's own;
   ``setup_rss_mb``, the peak just before the timed step, tells them apart;
-* ``build`` (n = 10..15): ``flipgraph.build_associahedron(n)`` from cold;
+* ``build`` (n = 10..15): ``flipgraph.build_associahedron(n)`` from cold.
+  On a checkout with lazy labels this is the CSR arrays alone, as the
+  stage never reads ``Graph.labels``; earlier checkouts also build every
+  label string here;
 * ``census`` (n = 10..12): ``census --n N --oracle --edges`` through
   ``cli.main``, from cold, with its output discarded;
 * ``aldous`` (n = 10..12): the Aldous test function,

@@ -167,7 +167,6 @@ def collection_stats(
     g: Graph,
     pattern: Graph,
     host_limit: int | None = None,
-    pattern_limit: int | None = None,
 ) -> CollectionStats:
     """Statistics of the maximal collection: all subgraphs isomorphic to the pattern.
 
@@ -181,11 +180,12 @@ def collection_stats(
     of each copy, so every copy is found once.
     """
     host_cap = COLLECTION_HOST_LIMIT if host_limit is None else host_limit
-    pat_cap = COLLECTION_PATTERN_LIMIT if pattern_limit is None else pattern_limit
     if g.vertex_count > host_cap:
         raise CapacityError(f"collection search limited to hosts with {host_cap} vertices")
-    if pattern.vertex_count > pat_cap:
-        raise CapacityError(f"collection search limited to patterns with {pat_cap} vertices")
+    if pattern.vertex_count > COLLECTION_PATTERN_LIMIT:
+        raise CapacityError(
+            f"collection search limited to patterns with {COLLECTION_PATTERN_LIMIT} vertices"
+        )
     _require_edge(pattern)
 
     steps, ends = _search_plan(pattern.vertex_count, tuple(pattern.edges()))

@@ -69,20 +69,17 @@ class CensusReport:
         return max(self.per_edge)
 
 
-def _check_census_size(g: Graph, limit: int | None) -> int:
-    """The census cap, after checking that g is within it."""
-    cap = CENSUS_LIMIT_DEFAULT if limit is None else limit
-    if g.vertex_count > cap:
-        raise CapacityError(f"census oracle limited to {cap} vertices")
-    return cap
+def _check_census_size(g: Graph) -> None:
+    if g.vertex_count > CENSUS_LIMIT_DEFAULT:
+        raise CapacityError(f"census oracle limited to {CENSUS_LIMIT_DEFAULT} vertices")
 
 
 # ---------------------------------------------------------------------------
 # pentagons through a vertex
 
-def pentagon_count_vertex_oracle(g: Graph, v: int, limit: int | None = None) -> int:
+def pentagon_count_vertex_oracle(g: Graph, v: int) -> int:
     """Exact 5-cycle count through vertex v by simple-path search."""
-    _check_census_size(g, limit)
+    _check_census_size(g)
     adj = g.adjacency_sets()
     count = 0
     for a in adj[v]:
@@ -101,9 +98,9 @@ def pentagon_count_vertex_oracle(g: Graph, v: int, limit: int | None = None) -> 
 # ---------------------------------------------------------------------------
 # pentagons through an edge
 
-def pentagon_count_edge_oracle(g: Graph, u: int, v: int, limit: int | None = None) -> int:
+def pentagon_count_edge_oracle(g: Graph, u: int, v: int) -> int:
     """Exact 5-cycle count through edge uv by simple-path search."""
-    _check_census_size(g, limit)
+    _check_census_size(g)
     if not g.has_edge(u, v):
         raise InvalidInputError(f"({u},{v}) is not an edge")
     adj = g.adjacency_sets()
@@ -120,9 +117,9 @@ def pentagon_count_edge_oracle(g: Graph, u: int, v: int, limit: int | None = Non
     return count
 
 
-def count_pentagons_total(g: Graph, limit: int | None = None) -> int:
+def count_pentagons_total(g: Graph) -> int:
     """Number of distinct 5-cycles in g, by rooted simple-path enumeration."""
-    _check_census_size(g, limit)
+    _check_census_size(g)
     adj = g.adjacency_sets()
     total = 0
     for r in range(g.vertex_count):
@@ -293,7 +290,6 @@ def ear_counts(n: int, max_n: int | None = None) -> tuple[int, ...]:
 def pentagon_census(
     n: int,
     oracle: bool = False,
-    limit: int | None = None,
     max_n: int | None = None,
     *,
     _flips: tuple[np.ndarray, ...] | None = None,
@@ -304,7 +300,7 @@ def pentagon_census(
     apbq, d_p + d_q - 2.  Through a vertex: the sum of C(d, 2) over its
     dual tree, which is half the sum of its edges' counts.  The oracle
     counts the subgraph copies of C5 with the array copy search
-    ``bounds.collection_stats``, under the census cap ``limit``.
+    ``bounds.collection_stats``, under the census cap CENSUS_LIMIT_DEFAULT.
     ``_flips`` is ``_flip_pass(n)`` when the caller already holds it.
     """
     if n < 5:
@@ -316,7 +312,8 @@ def pentagon_census(
     o_vertex = o_edge = None
     if oracle:
         g = build_associahedron(n, max_n)
-        stats = collection_stats(g, cycle_graph(5), host_limit=_check_census_size(g, limit))
+        _check_census_size(g)
+        stats = collection_stats(g, cycle_graph(5), host_limit=CENSUS_LIMIT_DEFAULT)
         o_vertex, o_edge = stats.per_vertex, stats.per_edge
     return CensusReport(n, "pentagon", per_vertex, _edge_counts(target, edge), o_vertex, o_edge)
 

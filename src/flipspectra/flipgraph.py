@@ -12,7 +12,7 @@ rotation on the flip graph's vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -22,13 +22,15 @@ from .errors import CapacityError, InvalidInputError, RangeError
 from .triangulations import _diagonal_ids, _id_rows, _row_keys
 
 BOX_PRODUCT_LIMIT_DEFAULT = 2_000_000
+# pairings random_regular_graph draws before giving up; about 1 in 80 of 8-12 vertices
+# at degree 4 is simple
+RANDOM_REGULAR_PAIRINGS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph in compressed adjacency form.
 
-    ``labels`` optionally carries the triangulation code of each vertex.
     ``degree`` is set when every vertex has the same degree.  ``polygon``
     is n on the flip graph of the n-gon, whose vertices the polygon's
     rotation permutes (``rotation_orbits``), and None on every other graph.
@@ -36,9 +38,17 @@ class Graph:
 
     offsets: np.ndarray
     neighbors: np.ndarray
-    labels: tuple[str, ...] | None = None
     degree: int | None = None
     polygon: int | None = None
+
+    @cached_property
+    def labels(self) -> tuple[str, ...] | None:
+        """Each vertex's triangulation code on a flip graph, built on first read; else None."""
+        if self.polygon is None:
+            return None
+        ends, _ = _diagonal_ids(self.polygon)
+        names = np.array([f"{i + 1}-{j + 1}" for i, j in ends.tolist()], dtype=object)
+        return tuple(map(",".join, names[_id_rows(self.polygon)].tolist()))
 
     @property
     def vertex_count(self) -> int:
@@ -59,10 +69,8 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each undirected edge once, (u, v) with u < v, in sorted order."""
-        for u in range(self.vertex_count):
-            for v in self.neighbors_of(u):
-                if u < v:
-                    yield (u, int(v))
+        u, v = self.arcs()
+        return zip(u[u < v].tolist(), v[u < v].tolist())
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors_of(u)
@@ -95,11 +103,7 @@ class Graph:
         return a
 
 
-def from_edges(
-    vertex_count: int,
-    edges: Iterable[tuple[int, int]],
-    labels: tuple[str, ...] | None = None,
-) -> Graph:
+def from_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from an edge list; duplicates collapse, loops are rejected."""
     if vertex_count < 0:
         raise InvalidInputError("vertex_count must be nonnegative")
@@ -112,26 +116,22 @@ def from_edges(
             raise InvalidInputError(f"edge ({u},{v}) outside 0..{vertex_count - 1}")
         pairs.append((u, v))
     ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return _from_arcs(vertex_count, ends.ravel(), ends[:, ::-1].ravel(), labels)
+    return _from_arcs(vertex_count, ends.ravel(), ends[:, ::-1].ravel())
 
 
-def _from_arcs(
-    vertex_count: int, src: np.ndarray, dst: np.ndarray, labels: tuple[str, ...] | None = None
-) -> Graph:
+def _from_arcs(vertex_count: int, src: np.ndarray, dst: np.ndarray) -> Graph:
     """Graph on the directed edges src[i] -> dst[i], which must list both directions."""
     keys = np.unique(src * vertex_count + dst)
     src, dst = np.divmod(keys, max(vertex_count, 1))
-    return _csr_graph(np.bincount(src, minlength=vertex_count), dst, labels)
+    return _csr_graph(np.bincount(src, minlength=vertex_count), dst)
 
 
-def _csr_graph(
-    deg: np.ndarray, neighbors: np.ndarray, labels: tuple[str, ...] | None = None
-) -> Graph:
+def _csr_graph(deg: np.ndarray, neighbors: np.ndarray) -> Graph:
     """Graph from each vertex's degree and its sorted neighbours, row after row."""
     offsets = np.zeros(len(deg) + 1, dtype=np.int64)
     np.cumsum(deg, out=offsets[1:])
     uniform = int(deg[0]) if len(deg) and bool((deg == deg[0]).all()) else None
-    return Graph(offsets, neighbors, labels, uniform)
+    return Graph(offsets, neighbors, uniform)
 
 
 def _in_sorted(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -178,15 +178,10 @@ def _flip_pass(n: int) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=32)
 def _associahedron_cached(n: int) -> Graph:
     # range validation happens in build_associahedron
-    rows = _id_rows(n)
-    ends, _ = _diagonal_ids(n)
-    count, k = rows.shape
     nbrs = _flip_pass(n)[-1]
     nbrs.sort(axis=1)
-    names = np.array([f"{i + 1}-{j + 1}" for i, j in ends.tolist()], dtype=object)
-    labels = tuple(map(",".join, names[rows].tolist()))
-    offsets = np.arange(count + 1, dtype=np.int64) * k
-    return Graph(offsets, nbrs.reshape(-1), labels, k, polygon=n)
+    count, k = nbrs.shape
+    return Graph(np.arange(count + 1, dtype=np.int64) * k, nbrs.reshape(-1), k, polygon=n)
 
 
 def build_associahedron(n: int, max_n: int | None = None) -> Graph:
@@ -207,10 +202,9 @@ def _check_range(n: int, max_n: int | None) -> None:
         raise RangeError(f"n={n} outside the supported range 3..{limit}")
 
 
-def box_product(g: Graph, h: Graph, max_vertices: int | None = None) -> Graph:
+def box_product(g: Graph, h: Graph) -> Graph:
     """Cartesian (box) product; vertex (a, b) gets index a*|V(H)| + b."""
-    cap = BOX_PRODUCT_LIMIT_DEFAULT if max_vertices is None else max_vertices
-    nv = g.vertex_count * h.vertex_count
+    nv, cap = g.vertex_count * h.vertex_count, BOX_PRODUCT_LIMIT_DEFAULT
     if nv > cap:
         raise CapacityError(f"box product on {nv} vertices exceeds the cap of {cap}")
     m = h.vertex_count
@@ -239,9 +233,7 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
     inside = new[w] >= 0
     # the relabelling keeps the order, so each row stays sorted
     deg = np.bincount(i[inside], minlength=len(kept))
-    kept = tuple(kept.tolist())
-    labels = tuple(g.labels[old] for old in kept) if g.labels is not None else None
-    return _csr_graph(deg, new[w[inside]], labels), kept
+    return _csr_graph(deg, new[w[inside]]), tuple(kept.tolist())
 
 
 def diagonal_slice(n: int, d: Iterable[int], max_n: int | None = None) -> Graph:
@@ -413,22 +405,34 @@ def petersen_graph() -> Graph:
     return from_edges(10, edges)
 
 
-def random_regular_graph(vertex_count: int, d: int, seed: int = 0, max_tries: int = 500) -> Graph:
-    """Uniform-ish d-regular simple graph via the pairing model with rejection."""
+def random_regular_graph(vertex_count: int, d: int, seed: int = 0) -> Graph:
+    """Uniform d-regular simple graph: the pairing model with rejection.
+
+    Pairings (d stubs per vertex, shuffled, joined two by two) are drawn in
+    batches doubling from 8, up to 2^20 stubs a batch; the first simple
+    one, with no loop and no repeated edge, is the graph, so the draw is
+    deterministic per seed.
+    """
     if vertex_count * d % 2 != 0:
         raise InvalidInputError("vertex_count * d must be even")
     if d >= vertex_count:
         raise InvalidInputError("degree must be below the vertex count")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
-        stubs = np.repeat(np.arange(vertex_count), d)
-        rng.shuffle(stubs)
-        halves = stubs.reshape(-1, 2)
-        pairs = {(min(int(u), int(v)), max(int(u), int(v))) for u, v in halves}
-        if any(u == v for u, v in pairs) or len(pairs) != vertex_count * d // 2:
-            continue
-        return from_edges(vertex_count, pairs)
-    raise CapacityError("could not sample a simple regular graph; raise max_tries")
+    stubs = np.repeat(np.arange(vertex_count), d)
+    batch, drawn = 8, 0
+    while drawn < RANDOM_REGULAR_PAIRINGS:
+        u, v = rng.permuted(np.tile(stubs, (batch, 1)), axis=1).reshape(batch, len(stubs) // 2, 2).T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        keys = np.sort(lo * vertex_count + hi, axis=0)
+        simple = (lo != hi).all(axis=0) & (keys[1:] != keys[:-1]).all(axis=0)
+        if simple.any():
+            u, v = lo[:, simple.argmax()], hi[:, simple.argmax()]
+            return _from_arcs(vertex_count, np.concatenate([u, v]), np.concatenate([v, u]))
+        drawn += batch
+        batch = min(2 * batch, max(1, (1 << 20) // len(stubs)))
+    raise CapacityError(
+        f"no simple pairing among {drawn} drawn for {vertex_count} vertices of degree {d}"
+    )
 
 
 def write_edge_list(g: Graph, fh) -> None:

@@ -95,11 +95,10 @@ def matvec(g: Graph, x: np.ndarray, a=None) -> np.ndarray:
     return (_csr(g) if a is None else a) @ np.asarray(x, dtype=float)
 
 
-def dense_spectrum(g: Graph, limit: int | None = None) -> Spectrum:
+def dense_spectrum(g: Graph) -> Spectrum:
     """Full symmetric eigendecomposition of the adjacency matrix."""
-    cap = DENSE_LIMIT_DEFAULT if limit is None else limit
-    if g.vertex_count > cap:
-        raise CapacityError(f"dense spectrum limited to {cap} vertices")
+    if g.vertex_count > DENSE_LIMIT_DEFAULT:
+        raise CapacityError(f"dense spectrum limited to {DENSE_LIMIT_DEFAULT} vertices")
     vals = np.linalg.eigvalsh(g.dense_adjacency())
     return Spectrum(vals[::-1].copy())
 
@@ -239,8 +238,8 @@ def _sectors(g: Graph, second: bool, tol: float) -> SpectralResult:
     return result
 
 
-def _choose_method(g: Graph, method: str, dense_limit: int | None) -> str:
-    cap = DENSE_LIMIT_DEFAULT if dense_limit is None else dense_limit
+def _choose_method(g: Graph, method: str) -> str:
+    cap = DENSE_LIMIT_DEFAULT
     auto = method == "auto"
     if auto:
         if g.vertex_count <= AUTO_DENSE_LIMIT or g.degree is None:
@@ -272,7 +271,6 @@ def lambda_min(
     method: str = "auto",
     seed: int = 0,
     max_iterations: int = 5000,
-    dense_limit: int | None = None,
 ) -> SpectralResult:
     """Smallest adjacency eigenvalue.
 
@@ -281,7 +279,7 @@ def lambda_min(
     """
     if g.vertex_count == 0:
         raise InvalidInputError("empty graph")
-    chosen = _choose_method(g, method, dense_limit)
+    chosen = _choose_method(g, method)
     if chosen == "dense":
         return _dense_extreme(g, 0, tol)
     if chosen == "sectors":
@@ -295,7 +293,6 @@ def lambda_2(
     method: str = "auto",
     seed: int = 0,
     max_iterations: int = 5000,
-    dense_limit: int | None = None,
 ) -> SpectralResult:
     """Second-largest adjacency eigenvalue of a connected graph.
 
@@ -306,7 +303,7 @@ def lambda_2(
         raise InvalidInputError("second eigenvalue undefined on fewer than 2 vertices")
     if not is_connected(g):
         raise InvalidInputError("graph must be connected")
-    chosen = _choose_method(g, method, dense_limit)
+    chosen = _choose_method(g, method)
     if chosen == "dense":
         return _dense_extreme(g, g.vertex_count - 2, tol)
     if chosen == "sectors":

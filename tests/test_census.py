@@ -229,10 +229,11 @@ def test_census_reports():
     assert hexa.edge_min == hexa.edge_max == 1
 
 
-def test_oracle_capacity():
+def test_oracle_capacity(monkeypatch):
     g = build_associahedron(6)
+    monkeypatch.setattr(census, "CENSUS_LIMIT_DEFAULT", 5)
     with pytest.raises(CapacityError):
-        pentagon_count_vertex_oracle(g, 0, limit=5)
+        pentagon_count_vertex_oracle(g, 0)
 
 
 @pytest.mark.parametrize("n", range(5, 9))
@@ -262,11 +263,13 @@ def test_pentagon_census_oracle_uses_no_path_search(monkeypatch):
 
 def test_pentagon_census_oracle_keeps_the_census_cap(monkeypatch):
     # A7 has 42 vertices
+    monkeypatch.setattr(census, "CENSUS_LIMIT_DEFAULT", 41)
     with pytest.raises(CapacityError, match="census oracle limited to 41 vertices"):
-        pentagon_census(7, oracle=True, limit=41)
+        pentagon_census(7, oracle=True)
     # the census cap, not the collection search's own default, bounds the host
     monkeypatch.setattr(bounds, "COLLECTION_HOST_LIMIT", 10)
-    rep = pentagon_census(7, oracle=True, limit=42)
+    monkeypatch.setattr(census, "CENSUS_LIMIT_DEFAULT", 42)
+    rep = pentagon_census(7, oracle=True)
     assert rep.oracle_per_vertex == rep.per_vertex
     assert pentagon_census(7, oracle=True).oracle_per_edge == rep.per_edge
 

@@ -31,13 +31,13 @@ from flipspectra.triangulations import catalan, crosses
 
 
 def flip_oracle_graph(n):
-    """The flip graph built one validated flip at a time, as an edge list."""
+    """The flip graph built one validated flip at a time, with each vertex's code."""
     ts = tri.enumerate_triangulations(n)
     index = {t.diagonals: i for i, t in enumerate(ts)}
     edges = [
         (i, index[nb.diagonals]) for i, t in enumerate(ts) for nb in tri.neighbors(t)
     ]
-    return from_edges(len(ts), edges, labels=tuple(t.code() for t in ts)), ts
+    return from_edges(len(ts), edges), tuple(t.code() for t in ts), ts
 
 
 def csr_oracle(vertex_count, edges):
@@ -120,7 +120,6 @@ def test_array_products_and_slices_match_edge_oracles(n):
         sub, kept = induced_subgraph(g, keep)
         assert same_csr(sub, induced_oracle(g, keep.tolist()))
         assert kept == tuple(keep.tolist())
-        assert sub.labels == tuple(g.labels[i] for i in kept)
 
 
 def test_products_and_subgraphs_of_irregular_graphs():
@@ -176,12 +175,12 @@ def test_flip_graph_structure_at_scale(assoc):
 @pytest.mark.parametrize("n", range(3, 11))
 def test_array_build_matches_flip_oracle(n):
     g = build_associahedron(n)
-    want, _ = flip_oracle_graph(n)
+    want, codes, _ = flip_oracle_graph(n)
     assert g.offsets.dtype == want.offsets.dtype == np.int64
     assert g.neighbors.dtype == want.neighbors.dtype == np.int64
     assert np.array_equal(g.offsets, want.offsets)
     assert np.array_equal(g.neighbors, want.neighbors)
-    assert g.labels == want.labels
+    assert g.labels == codes
     assert g.degree == want.degree == n - 3
 
 
@@ -218,13 +217,14 @@ def test_csr_neighbors_differ_by_one_crossing_flip(data):
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_slice_matches_enumeration_oracle(n):
-    g, ts = flip_oracle_graph(n)
+    g, _, ts = flip_oracle_graph(n)
     for d in {d for t in ts for d in t.diagonals}:
         want, _ = induced_subgraph(g, [i for i, t in enumerate(ts) if d in t.diagonals])
         got = diagonal_slice(n, d)
         assert np.array_equal(got.offsets, want.offsets)
         assert np.array_equal(got.neighbors, want.neighbors)
-        assert got.labels == want.labels and got.degree == want.degree
+        assert got.degree == want.degree
+        assert got.labels is None
 
 
 @pytest.mark.parametrize("g", [path_graph(4), petersen_graph(), build_associahedron(7)])
@@ -239,6 +239,15 @@ def test_flip_graph_labels_follow_enumeration():
     g = build_associahedron(5)
     assert g.labels[0] == "1-3,1-4"
     assert len(set(g.labels)) == 5
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_labels_are_built_on_first_read(n):
+    fg._associahedron_cached.cache_clear()
+    g = build_associahedron(n)
+    assert "labels" not in vars(g)
+    assert g.labels == tuple(t.code() for t in tri.enumerate_triangulations(n))
+    assert "labels" in vars(g) and g.labels is g.labels
 
 
 def test_range_errors():
@@ -265,9 +274,10 @@ def test_box_product_vertex_count(a, b):
     assert box_product(g, h).vertex_count == a * b
 
 
-def test_box_product_capacity():
+def test_box_product_capacity(monkeypatch):
+    monkeypatch.setattr(fg, "BOX_PRODUCT_LIMIT_DEFAULT", 5000)
     with pytest.raises(CapacityError):
-        box_product(cycle_graph(100), cycle_graph(100), max_vertices=5000)
+        box_product(cycle_graph(100), cycle_graph(100))
 
 
 def test_induced_subgraph():
@@ -371,8 +381,25 @@ def test_random_regular_graph():
     assert validate_regular(g1, 3)
     g2 = random_regular_graph(20, 3, seed=1)
     assert (g1.neighbors == g2.neighbors).all()
+    assert random_regular_graph(4, 0).vertex_count == 4 and random_regular_graph(4, 0).edge_count == 0
     with pytest.raises(InvalidInputError):
         random_regular_graph(5, 3, seed=0)  # odd stub count
+
+
+@pytest.mark.parametrize("nv, d", [(8, 4), (10, 4), (12, 4), (20, 3)])
+def test_random_regular_graph_is_simple_for_every_seed(nv, d):
+    for seed in range(1000):
+        g = random_regular_graph(nv, d, seed=seed)
+        # a repeated edge or a loop would cost its vertices degree in the CSR
+        u, v = g.arcs()
+        assert validate_regular(g, d) and g.edge_count == nv * d // 2 and (u != v).all()
+
+
+def test_random_regular_graph_gives_up_on_a_budget(monkeypatch):
+    # none of 10^6 pairings of 10 vertices at degree 8 was simple
+    monkeypatch.setattr(fg, "RANDOM_REGULAR_PAIRINGS", 64)
+    with pytest.raises(CapacityError):
+        random_regular_graph(10, 8, seed=0)
 
 
 def test_loops_rejected():
@@ -451,4 +478,4 @@ def test_only_the_flip_graph_has_a_rotation():
         box_product(a5, a5),
         diagonal_slice(8, (1, 4)),
     ]
-    assert all(h.polygon is None for h in others)
+    assert all(h.polygon is None and h.labels is None for h in others)

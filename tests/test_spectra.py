@@ -22,6 +22,7 @@ from flipspectra.flipgraph import (
     random_regular_graph,
     single_vertex,
 )
+from flipspectra import spectra
 from flipspectra.reference import A6_SPECTRUM_CORRECTED
 from flipspectra.spectra import (
     AUTO_DENSE_LIMIT,
@@ -232,11 +233,12 @@ def test_lambda_2_requires_connected():
         lambda_2(g)
 
 
-def test_dense_capacity():
+def test_dense_capacity(monkeypatch):
+    monkeypatch.setattr(spectra, "DENSE_LIMIT_DEFAULT", 100)
     with pytest.raises(CapacityError):
-        dense_spectrum(build_associahedron(8), limit=100)
+        dense_spectrum(build_associahedron(8))
     with pytest.raises(CapacityError):
-        lambda_min(build_associahedron(8), method="dense", dense_limit=100)
+        lambda_min(build_associahedron(8), method="dense")
 
 
 def test_convergence_error_carries_best():
@@ -303,19 +305,27 @@ def test_auto_gives_sectors_to_mid_sized_flip_graphs_only(assoc):
             lambda_min(h, method="sectors")
 
 
-def test_sectors_keep_the_dense_cap(assoc):
+def test_sectors_keep_the_dense_cap(assoc, monkeypatch):
+    def capped(cap):
+        monkeypatch.setattr(spectra, "DENSE_LIMIT_DEFAULT", cap)
+
     # block 0 of A9 holds all 49 rotation orbits
+    capped(48)
     with pytest.raises(CapacityError):
-        lambda_min(assoc(9), method="sectors", dense_limit=48)
-    assert lambda_min(assoc(9), method="sectors", dense_limit=49).method == "sectors"
-    assert lambda_min(assoc(9), dense_limit=40).method == "iterative"
+        lambda_min(assoc(9), method="sectors")
+    capped(49)
+    assert lambda_min(assoc(9), method="sectors").method == "sectors"
+    capped(40)
+    assert lambda_min(assoc(9)).method == "iterative"
     # A10 has 150 orbits, more than 1430 / 10 = 143: auto and an explicit
     # request read the same block size against the cap
     for cap in (143, 149):
-        assert lambda_min(assoc(10), dense_limit=cap).method == "iterative"
+        capped(cap)
+        assert lambda_min(assoc(10)).method == "iterative"
         with pytest.raises(CapacityError):
-            lambda_min(assoc(10), method="sectors", dense_limit=cap)
-    assert lambda_min(assoc(10), dense_limit=150).method == "sectors"
+            lambda_min(assoc(10), method="sectors")
+    capped(150)
+    assert lambda_min(assoc(10)).method == "sectors"
 
 
 def test_sector_residual_above_tol_raises(assoc):
