@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Recompute both extreme-eigenvalue tables and compare with the references.
+"""Recompute both extreme-eigenvalue tables and check them against the references.
+
+Each value must round to its table entry as `reference.check_reference` says.
 
 Usage: python scripts/reproduce_tables.py [--n-max N] [--seed S]
 """
@@ -9,7 +11,7 @@ import sys
 import time
 
 from flipspectra.flipgraph import build_associahedron
-from flipspectra.reference import LAMBDA_2_TABLE, LAMBDA_MIN_TABLE
+from flipspectra.reference import LAMBDA_2_TABLE, LAMBDA_MIN_TABLE, check_reference
 from flipspectra.spectra import lambda_2, lambda_min
 
 
@@ -29,18 +31,17 @@ def main() -> int:
         dt = time.perf_counter() - t0
         ref_min = LAMBDA_MIN_TABLE.get(n)
         ref_2 = LAMBDA_2_TABLE.get(n)
-        row_ok = True
-        if ref_min is not None:
-            row_ok &= abs(lmin.value - ref_min) <= 1e-3
-        if ref_2 is not None:
-            row_ok &= abs(l2.value - ref_2) <= 1e-3
+        row_ok = (
+            check_reference("lambda_min", n, lmin.value) is not False
+            and check_reference("lambda_2", n, l2.value) is not False
+        )
         ok &= row_ok
         print(
             f"{n:>3} {n - 3:>4} {lmin.value:>12.6f} {ref_min if ref_min is not None else '-':>8}"
             f" {l2.value:>12.6f} {ref_2 if ref_2 is not None else '-':>8} {dt:>6.1f}"
             + ("" if row_ok else "  <-- MISMATCH")
         )
-    print("all rows within 1e-3" if ok else "MISMATCH against the reference tables")
+    print("all rows match the reference tables" if ok else "MISMATCH against the reference tables")
     return 0 if ok else 1
 
 

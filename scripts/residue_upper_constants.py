@@ -13,7 +13,7 @@ Usage: python scripts/residue_upper_constants.py [--n-max N]
 import argparse
 import sys
 
-from flipspectra.bounds import assoc_upper_bound, upper_bound_residue_constants
+from flipspectra.bounds import assoc_upper_bound, holds, upper_bound_residue_constants
 from flipspectra.reference import LIMIT_UPPER_CONSTANT
 
 
@@ -27,7 +27,7 @@ def main() -> int:
     for r, c in consts.items():
         print(f"{r}   {c:.6f}")
     for n in range(4, args.n_max + 1):
-        assert assoc_upper_bound(n) <= LIMIT_UPPER_CONSTANT * n + consts[n % 10] + 1e-9, n
+        assert holds(assoc_upper_bound(n), LIMIT_UPPER_CONSTANT * n + consts[n % 10]), n
     print(f"inequality verified for n = 4..{args.n_max}")
     sample = [13, 22, 47, 100]
     print("sample bounds:", {n: round(assoc_upper_bound(n), 4) for n in sample})

@@ -40,6 +40,15 @@ COLLECTION_PATTERN_LIMIT = 12
 # the peak RSS of bounds --certify --n-max 10 by about 0.5 MB.
 _SPLIT_PAIRS = 1 << 12
 
+# float error allowed in a computed eigenvalue: the solvers stop at a residual
+# of 1e-9, and some eigenvalue lies within the residual of the reported value
+SLACK = 1e-9
+
+
+def holds(lower: float, upper: float) -> bool:
+    """Whether lower <= upper, allowing SLACK of float error; every bound is judged here."""
+    return bool(lower <= upper + SLACK)
+
 
 @dataclass(frozen=True)
 class CollectionStats:
@@ -399,11 +408,25 @@ class LimitBracket:
     empirical_upper: float
     ratios: dict[int, float]
 
+    def contains(self, ratio: float) -> bool:
+        """Whether ratio lies in [lower, upper], up to SLACK at each end."""
+        return holds(self.lower, ratio) and holds(ratio, self.upper)
+
 
 def limit_bracket() -> LimitBracket:
     ratios = {n: LAMBDA_MIN_TABLE[n] / (n - 3) for n in range(5, 13)}
     empirical = min(LAMBDA_MIN_TABLE[n] / (n - 2) for n in range(4, 13))
     return LimitBracket(LIMIT_UPPER_CONSTANT, LIMIT_LOWER_CONSTANT, empirical, ratios)
+
+
+def collection_bound(d: int, k: int, lam_min_pattern: float, stats: CollectionStats) -> float:
+    """theorem_bound for the collection ``stats`` on a d-regular host.
+
+    An empty collection gives -d, which every d-regular graph satisfies.
+    """
+    if stats.copy_count == 0:
+        return float(-d)
+    return theorem_bound(d, k, lam_min_pattern, stats.m, stats.t)
 
 
 def certify_collection_bound(
@@ -416,8 +439,6 @@ def certify_collection_bound(
     """Compute the collection bound on g and compare with the exact value.
 
     Uses the maximal collection unless ``stats`` supplies a custom one.
-    When the collection is empty the bound degenerates to -d, which every
-    graph satisfies.
     """
     if stats is None:
         stats = collection_stats(g, pattern)
@@ -428,10 +449,7 @@ def certify_collection_bound(
     if k is None:
         raise InvalidInputError("pattern graph must be regular")
     lam_k = dense_spectrum(pattern).lambda_min
-    if stats.copy_count == 0:
-        bound = float(-d)
-    else:
-        bound = theorem_bound(d, k, lam_k, stats.m, stats.t)
+    bound = collection_bound(d, k, lam_k, stats)
     exact = (
         exact_lambda_min
         if exact_lambda_min is not None
@@ -441,7 +459,7 @@ def certify_collection_bound(
         bound_name=name,
         bound_value=bound,
         exact_value=exact,
-        satisfied=bool(bound <= exact + 1e-9),
+        satisfied=holds(bound, exact),
         parameters={
             "d": d,
             "k": k,
@@ -466,80 +484,34 @@ def flipgraph_bound_reports(
     """
     if n < 5:
         raise InvalidInputError("bound reports need n >= 5")
-    reports = []
-    lower = assoc_lower_bound(n)
-    reports.append(
-        BoundReport(
-            "pentagon-collection-lower",
-            lower,
-            lam_min,
-            None if lam_min is None else bool(lower <= lam_min + 1e-9),
-            {"n": n},
-        )
-    )
-    upper = assoc_upper_bound(n)
-    reports.append(
-        BoundReport(
-            "slice-upper",
-            upper,
-            lam_min,
-            None if lam_min is None else bool(lam_min <= upper + 1e-9),
-            {"n": n},
-        )
-    )
+
+    def report(name, bound, exact=None, upper=False, satisfied=None, **parameters):
+        # a lower bound holds below the exact value, an upper one above it
+        if exact is not None:
+            satisfied = holds(exact, bound) if upper else holds(bound, exact)
+        return BoundReport(name, bound, exact, satisfied, {"n": n, **parameters})
+
+    reports = [
+        report("pentagon-collection-lower", assoc_lower_bound(n), lam_min),
+        report("slice-upper", assoc_upper_bound(n), lam_min, upper=True),
+    ]
     if n >= 6:
-        hex_lower = assoc_hexagon_lower_bound(n)
-        reports.append(
-            BoundReport(
-                "hexagon-collection-lower",
-                hex_lower,
-                lam_min,
-                None if lam_min is None else bool(hex_lower <= lam_min + 1e-9),
-                {"n": n},
-            )
-        )
+        reports.append(report("hexagon-collection-lower", assoc_hexagon_lower_bound(n), lam_min))
     if lam_min is not None:
-        chrom = chromatic_lower_bound(n, lam_min)
         known = CHROMATIC_NUMBER_KNOWN.get(n)
-        reports.append(
-            BoundReport(
-                "chromatic-lower",
-                chrom,
-                None if known is None else float(known),
-                None if known is None else bool(chrom <= known + 1e-9),
-                {"n": n, "lambda_min": lam_min},
-            )
-        )
+        reports.append(report(
+            "chromatic-lower", chromatic_lower_bound(n, lam_min),
+            None if known is None else float(known), lambda_min=lam_min,
+        ))
     if lam2 is not None:
         up, low = mixing_bounds(n, lam2, eps)
-        reports.append(
-            BoundReport(
-                "mixing-time-upper",
-                up,
-                None,
-                None,
-                {"n": n, "lambda_2": lam2, "eps": eps},
-            )
-        )
-        reports.append(
-            BoundReport(
-                "mixing-time-lower",
-                low,
-                None,
-                None,
-                {"n": n, "lambda_2": lam2, "eps": eps},
-            )
-        )
+        reports.append(report("mixing-time-upper", up, lambda_2=lam2, eps=eps))
+        reports.append(report("mixing-time-lower", low, lambda_2=lam2, eps=eps))
     bracket = limit_bracket()
     if n in bracket.ratios:
         ratio = (lam_min / (n - 3)) if lam_min is not None else bracket.ratios[n]
-        reports.append(
-            BoundReport(
-                "limit-ratio-bracket",
-                ratio,
-                None,
-                bool(bracket.lower - 1e-9 <= ratio <= bracket.upper + 1e-9),
-                {"n": n, "bracket": [bracket.lower, bracket.upper]},
-            )
-        )
+        reports.append(report(
+            "limit-ratio-bracket", ratio, satisfied=bracket.contains(ratio),
+            bracket=[bracket.lower, bracket.upper],
+        ))
     return reports

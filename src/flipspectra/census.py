@@ -24,13 +24,12 @@ from .bounds import collection_stats
 from .errors import CapacityError, InvalidInputError
 from .flipgraph import (
     Graph,
-    _check_range,
     _flip_pass,
     _row_index,
     build_associahedron,
     cycle_graph,
 )
-from .triangulations import Triangulation, _diagonal_ids, _id_rows, polygon_regions
+from .triangulations import Triangulation, _check_range, _diagonal_ids, _id_rows, polygon_regions
 
 CENSUS_LIMIT_DEFAULT = 20000
 

@@ -30,7 +30,7 @@ from .flipgraph import (
     slice_product_map,
     validate_regular,
 )
-from .reference import LAMBDA_2_TABLE, LAMBDA_MIN_TABLE
+from .reference import LAMBDA_2_TABLE, LAMBDA_MIN_TABLE, check_reference
 from .triangulations import catalan
 
 
@@ -124,7 +124,7 @@ def _claim_lower_bound(lam_min: dict[int, float]) -> ClaimResult:
     for n, lam in lam_min.items():
         if n < 5:
             continue
-        if bounds.assoc_lower_bound(n) > lam + 1e-9:
+        if not bounds.holds(bounds.assoc_lower_bound(n), lam):
             bad.append(f"n={n}")
     return ClaimResult(
         "pentagon-lower-bound",
@@ -135,14 +135,12 @@ def _claim_lower_bound(lam_min: dict[int, float]) -> ClaimResult:
 
 def _claim_table_match(lam_min: dict[int, float], lam2: dict[int, float]) -> ClaimResult:
     bad = []
-    for n, lam in lam_min.items():
-        want = LAMBDA_MIN_TABLE.get(n)
-        if want is not None and abs(lam - want) > 1e-3:
-            bad.append(f"lambda_min n={n}: {lam:.6f} vs {want}")
-    for n, lam in lam2.items():
-        want = LAMBDA_2_TABLE.get(n)
-        if want is not None and abs(lam - want) > 1e-3:
-            bad.append(f"lambda_2 n={n}: {lam:.6f} vs {want}")
+    for kind, values, table in (
+        ("lambda_min", lam_min, LAMBDA_MIN_TABLE), ("lambda_2", lam2, LAMBDA_2_TABLE)
+    ):
+        for n, lam in values.items():
+            if check_reference(kind, n, lam) is False:
+                bad.append(f"{kind} n={n}: {lam:.6f} vs {table[n]}")
     return ClaimResult(
         "eigenvalue-tables", not bad, "; ".join(bad) if bad else "within 1e-3 of reference"
     )
@@ -155,7 +153,7 @@ def _claim_subadditivity(lam_min: dict[int, float]) -> ClaimResult:
     n_max = max(lam_min)
     for k in range(4, n_max + 1):
         for l in range(k, n_max - k + 3):
-            if lam_min[k + l - 2] > lam_min[k] + lam_min[l] + 1e-8:
+            if not bounds.holds(lam_min[k + l - 2], lam_min[k] + lam_min[l]):
                 bad.append(f"k={k},l={l}")
     return ClaimResult(
         "slice-subadditivity", not bad, "; ".join(bad) if bad else "holds for all splits"
@@ -215,7 +213,7 @@ def _claim_limit_bracket(lam_min: dict[int, float]) -> ClaimResult:
         if n < 5:
             continue
         ratio = lam / (n - 3)
-        if not br.lower - 1e-9 <= ratio <= br.upper + 1e-9:
+        if not br.contains(ratio):
             bad.append(f"n={n}: ratio {ratio:.4f}")
     return ClaimResult(
         "limit-ratio-bracket", not bad, "; ".join(bad) if bad else "all ratios inside bracket"

@@ -20,7 +20,7 @@ import numpy as np
 from . import bounds, census, certify, spectra, walk
 from .errors import CapacityError, ConvergenceError, InvalidInputError
 from .flipgraph import _flip_pass, build_associahedron, write_edge_list
-from .reference import LAMBDA_2_TABLE, LAMBDA_MIN_TABLE
+from .reference import LAMBDA_2_TABLE, LAMBDA_MIN_TABLE, check_reference
 
 EXIT_OK = 0
 EXIT_CLAIM = 1
@@ -210,9 +210,8 @@ def cmd_bounds(args) -> int:
             g, pattern, exact_lambda_min=exact, name="user-collection-bound", stats=stats
         ) if args.certify else bounds.BoundReport(
             "user-collection-bound",
-            -float(g.degree) if stats.copy_count == 0 else bounds.theorem_bound(
-                g.degree, pattern.degree,
-                spectra.dense_spectrum(pattern).lambda_min, stats.m, stats.t,
+            bounds.collection_bound(
+                g.degree, pattern.degree, spectra.dense_spectrum(pattern).lambda_min, stats
             ),
             None,
             None,
@@ -298,16 +297,9 @@ def cmd_table(args) -> int:
         g = build_associahedron(n)
         value = solver(g, seed=args.seed).value
         ref = table.get(n)
-        if ref is None:
-            status = "uncharted"
-        else:
-            # reference rounds lambda_min up and lambda_2 down to 3 decimals
-            if args.kind == "lambda_min":
-                good = ref - 1e-3 - 1e-6 <= value <= ref + 1e-6
-            else:
-                good = ref - 1e-6 <= value <= ref + 1e-3 + 1e-6
-            status = "ok" if good else "MISMATCH"
-            ok = ok and good
+        good = check_reference(args.kind, n, value)
+        status = "uncharted" if good is None else "ok" if good else "MISMATCH"
+        ok = ok and good is not False
         fh.write(f"{n - 3}\t{value:.3f}\t{'-' if ref is None else format(ref, '.3f')}\t{status}\n")
     _emit(args, fh.getvalue())
     return EXIT_OK if ok else EXIT_CLAIM

@@ -18,8 +18,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import triangulations as tri
-from .errors import CapacityError, InvalidInputError, RangeError
-from .triangulations import _diagonal_ids, _id_rows, _row_keys
+from .errors import CapacityError, InvalidInputError
+from .triangulations import _check_range, _diagonal_ids, _id_rows, _row_keys
 
 BOX_PRODUCT_LIMIT_DEFAULT = 2_000_000
 # pairings random_regular_graph draws before giving up; about 1 in 80 of 8-12 vertices
@@ -194,12 +194,6 @@ def build_associahedron(n: int, max_n: int | None = None) -> Graph:
     """
     _check_range(n, max_n)
     return _associahedron_cached(n)
-
-
-def _check_range(n: int, max_n: int | None) -> None:
-    limit = tri.max_polygon(max_n)
-    if n < 3 or n > limit:
-        raise RangeError(f"n={n} outside the supported range 3..{limit}")
 
 
 def box_product(g: Graph, h: Graph) -> Graph:

@@ -1,9 +1,10 @@
 """Embedded reference data for flip-graph eigenvalues at desk scale.
 
-The two tables hold three-decimal reference values used by the
-self-checking table command: the smallest eigenvalue is recorded rounded
-up (toward +inf), the second-largest rounded down.  The n = 4 entry is the
-exact value for the single-edge graph.
+The two tables hold three-decimal reference values: the smallest
+eigenvalue is recorded rounded up (toward +inf), the second-largest
+rounded down.  The n = 4 entry is the exact value for the single-edge
+graph.  ``check_reference`` is the one judge of a computed value against
+them.
 """
 
 import math
@@ -32,6 +33,23 @@ LAMBDA_2_TABLE = {
     11: 7.622,
     12: 8.667,
 }
+
+
+def check_reference(kind: str, n: int, value: float) -> bool | None:
+    """Whether a computed value rounds to its table entry; None without an entry.
+
+    ``kind`` is "lambda_min" or "lambda_2".  lambda_min rounds up to its
+    entry, so it lies at most 1e-3 below it; lambda_2 rounds down, so at
+    most 1e-3 above.  Both sides allow 1e-6 for a value on a rounding
+    boundary: lambda_2(6) = 2 computes as 2 - 2.2e-16.
+    """
+    ref = (LAMBDA_MIN_TABLE if kind == "lambda_min" else LAMBDA_2_TABLE).get(n)
+    if ref is None:
+        return None
+    if kind == "lambda_min":
+        return bool(ref - 1e-3 - 1e-6 <= value <= ref + 1e-6)
+    return bool(ref - 1e-6 <= value <= ref + 1e-3 + 1e-6)
+
 
 # computed chromatic numbers of the flip graph for small n
 CHROMATIC_NUMBER_KNOWN = {5: 3, 6: 3, 7: 3, 8: 3, 9: 3, 10: 4}

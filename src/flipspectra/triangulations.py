@@ -41,6 +41,12 @@ def max_polygon(override: int | None = None) -> int:
     return int(env) if env else MAX_N_DEFAULT
 
 
+def _check_range(n: int, max_n: int | None) -> None:
+    limit = max_polygon(max_n)
+    if n < 3 or n > limit:
+        raise RangeError(f"n={n} outside the supported range 3..{limit}")
+
+
 def catalan(m: int) -> int:
     """m-th Catalan number; counts triangulations of an (m+2)-gon."""
     if m < 0:
@@ -221,9 +227,7 @@ def enumerate_triangulations(n: int, max_n: int | None = None) -> list[Triangula
     flip graph; the list has exactly catalan(n - 2) elements, sorted by
     their diagonal tuples.
     """
-    limit = max_polygon(max_n)
-    if n < 3 or n > limit:
-        raise RangeError(f"n={n} outside the supported range 3..{limit}")
+    _check_range(n, max_n)
     ends, _ = _diagonal_ids(n)
     return [
         Triangulation(n, tuple(map(tuple, ds))) for ds in (ends + 1)[_id_rows(n)].tolist()

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .flipgraph import Graph, _check_range, _flip_pass, build_associahedron, is_connected
+from .flipgraph import Graph, _flip_pass, build_associahedron, is_connected
 from .spectra import lambda_2
+from .triangulations import _check_range
 
 
 @dataclass(frozen=True)

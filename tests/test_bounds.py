@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from flipspectra import bounds
 from flipspectra.bounds import (
+    SLACK,
     CollectionStats,
     _pattern_order,
     assoc_hexagon_lower_bound,
@@ -17,6 +18,7 @@ from flipspectra.bounds import (
     collection_stats,
     collection_stats_from_copies,
     flipgraph_bound_reports,
+    holds,
     limit_bracket,
     mixing_bounds,
     odd_cycle_bound,
@@ -358,7 +360,17 @@ def test_limit_bracket():
     assert abs(br.empirical_upper - (-0.6904)) < 1e-12
     assert set(br.ratios) == set(range(5, 13))
     for ratio in br.ratios.values():
-        assert br.lower - 1e-9 <= ratio <= br.upper + 1e-9
+        assert br.contains(ratio)
+    assert br.contains(br.lower) and br.contains(br.upper)
+    assert not br.contains(br.lower - 3 * SLACK)
+    assert not br.contains(br.upper + 3 * SLACK)
+
+
+def test_holds_allows_slack_and_no_more():
+    assert holds(0.0, 0.0) and holds(-1.0, 0.0)
+    assert holds(SLACK, 0.0)
+    assert not holds(2 * SLACK, 0.0)
+    assert not holds(1.0, 0.0)
 
 
 def test_certify_collection_bound_tight_case():

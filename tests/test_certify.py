@@ -1,6 +1,9 @@
 from collections import Counter
 
+import pytest
+
 from flipspectra import bounds, certify
+from flipspectra.reference import LAMBDA_2_TABLE, LAMBDA_MIN_TABLE, check_reference
 from flipspectra.triangulations import catalan
 
 
@@ -39,8 +42,42 @@ def test_subadditivity_claim_reads_the_slice_index(lambda_min_values):
         for l in range(k, 15 - k)
     )
     assert slack >= 0.414
+    for excess in (0.1, 2 * bounds.SLACK):
+        lam = dict(lambda_min_values)
+        lam[7] = lam[4] + lam[5] + excess
+        claim = certify._claim_subadditivity(lam)
+        assert not claim.passed
+        assert claim.detail == "k=4,l=5"
+
+
+@pytest.mark.parametrize(
+    "kind, n, value, good",
+    [
+        # lambda_min is rounded up: the value lies in [ref - 1e-3, ref], 1e-6 wider
+        ("lambda_min", 8, LAMBDA_MIN_TABLE[8], True),
+        ("lambda_min", 8, LAMBDA_MIN_TABLE[8] + 1e-6, True),
+        ("lambda_min", 8, LAMBDA_MIN_TABLE[8] + 2e-6, False),
+        ("lambda_min", 8, LAMBDA_MIN_TABLE[8] - 1e-3 - 1e-6, True),
+        ("lambda_min", 8, LAMBDA_MIN_TABLE[8] - 1e-3 - 2e-6, False),
+        # lambda_2 is rounded down: the value lies in [ref, ref + 1e-3], 1e-6 wider
+        ("lambda_2", 6, 2.0 - 2.2e-16, True),
+        ("lambda_2", 6, 2.0 - 2e-6, False),
+        ("lambda_2", 8, LAMBDA_2_TABLE[8] + 1e-3 + 1e-6, True),
+        ("lambda_2", 8, LAMBDA_2_TABLE[8] + 1e-3 + 2e-6, False),
+        ("lambda_min", 13, -7.65, None),
+        ("lambda_2", 4, 1.0, None),
+    ],
+)
+def test_check_reference_follows_the_rounding_direction(kind, n, value, good):
+    assert check_reference(kind, n, value) is good
+
+
+def test_table_claim_rejects_a_value_on_the_wrong_side_of_its_rounding(
+    lambda_min_values, lambda_2_values
+):
+    assert certify._claim_table_match(lambda_min_values, lambda_2_values).passed
     lam = dict(lambda_min_values)
-    lam[7] = lam[4] + lam[5] + 0.1
-    claim = certify._claim_subadditivity(lam)
+    lam[8] = LAMBDA_MIN_TABLE[8] + 5e-4
+    claim = certify._claim_table_match(lam, lambda_2_values)
     assert not claim.passed
-    assert claim.detail == "k=4,l=5"
+    assert claim.detail == "lambda_min n=8: -3.911500 vs -3.912"
