@@ -1,19 +1,6 @@
 """Flip graphs of convex polygon triangulations: spectra, censuses, bounds."""
 
-from .triangulations import (
-    Triangulation,
-    DualTree,
-    catalan,
-    crosses,
-    dual_tree,
-    ear_count,
-    enumerate_triangulations,
-    fan_triangulation,
-    flip,
-    neighbors,
-    polygon_regions,
-    triangles_of,
-)
+from .triangulations import catalan, enumerate_triangulations, polygon_regions
 from .flipgraph import (
     Graph,
     box_product,

@@ -17,19 +17,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 import numpy as np
 
 from .bounds import collection_stats
 from .errors import CapacityError, InvalidInputError
-from .flipgraph import (
-    Graph,
-    _flip_pass,
+from .flipgraph import Graph, _flip_pass, build_associahedron, cycle_graph
+from .triangulations import (
+    _check_range,
+    _diagonal_ids,
+    _id_rows,
+    _pair_ids,
     _row_index,
-    build_associahedron,
-    cycle_graph,
+    polygon_regions,
+    validate_diagonal,
 )
-from .triangulations import Triangulation, _check_range, _diagonal_ids, _id_rows, polygon_regions
 
 CENSUS_LIMIT_DEFAULT = 20000
 
@@ -143,17 +146,22 @@ def count_pentagons_total(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # hexagon-flip subgraphs through a vertex
 
-def hexagon_count_vertex_oracle(n: int, t: Triangulation) -> int:
-    """Triples of diagonals of t whose removal leaves one hexagonal face.
+def hexagon_count_vertex_oracle(n: int, diagonals: Iterable[Iterable[int]]) -> int:
+    """Triples of a triangulation's diagonals whose removal leaves one hexagonal face.
 
-    Fully geometric: remove the triple, recompute the faces, and accept
-    when they are one hexagon plus triangles.
+    ``diagonals`` must be the n - 3 distinct, pairwise non-crossing
+    diagonals of a triangulation of the n-gon.  Fully geometric: remove
+    the triple, recompute the faces, and accept when they are one hexagon
+    plus triangles.
     """
-    if n != t.n:
-        raise InvalidInputError(f"n={n} does not match the triangulation (n={t.n})")
+    diags = sorted(validate_diagonal(n, d) for d in diagonals)
+    # sorted, ab and cd (ab before cd) cross exactly when a < c < b < d
+    crossing = any(a < c < b < d for (a, b), (c, d) in combinations(diags, 2))
+    if crossing or not len(set(diags)) == len(diags) == n - 3:
+        raise InvalidInputError(f"{diags} is not a triangulation of the {n}-gon")
     count = 0
-    for triple in combinations(t.diagonals, 3):
-        remaining = [d for d in t.diagonals if d not in triple]
+    for triple in combinations(diags, 3):
+        remaining = [d for d in diags if d not in triple]
         sizes = sorted(len(r) for r in polygon_regions(n, remaining))
         if sizes[-1] == 6 and all(s == 3 for s in sizes[:-1]):
             count += 1
@@ -173,8 +181,9 @@ def _hexagon_faces(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n < 6:
         raise InvalidInputError("hexagon supports need n >= 6")
-    _, lookup = _diagonal_ids(n)
-    shapes: dict[int, np.ndarray] = {}  # g -> 0-based diagonal ends of each g-gon triangulation
+    # g -> 0-based ends of the closing chord 0-(g-1), then of the diagonals,
+    # of each g-gon triangulation
+    shapes: dict[int, np.ndarray] = {}
     corners, held = [], []
     for face in combinations(range(n), 6):
         picks = np.zeros((1, 0), dtype=np.uint8)
@@ -183,13 +192,11 @@ def _hexagon_faces(n: int) -> tuple[np.ndarray, np.ndarray]:
             if g < 3:  # the hexagon side is a polygon side
                 continue
             if g not in shapes:
-                ends, _ = _diagonal_ids(g)
-                shapes[g] = ends[_id_rows(g)]
+                inner = _diagonal_ids(g)[0][_id_rows(g)]
+                closing = np.broadcast_to([0, g - 1], (len(inner), 1, 2))
+                shapes[g] = np.concatenate([closing, inner], axis=1)
             x, y = (np.arange(a, b + 1) % n)[shapes[g]].transpose(2, 0, 1)
-            options = np.column_stack([
-                np.full(len(x), lookup[min(a, b % n), max(a, b % n)]),  # the closing chord
-                lookup[np.minimum(x, y), np.maximum(x, y)],
-            ]).astype(np.uint8)
+            options = _pair_ids(n, x, y)
             # every earlier pick with every option, the earlier pockets varying slowest
             picks = np.hstack([
                 np.repeat(picks, len(options), axis=0), np.tile(options, (len(picks), 1))
@@ -228,12 +235,11 @@ def hexagon_census_oracle(
     the dual-tree arithmetic of the formula route.
     """
     g = build_associahedron(n, max_n)
-    _, lookup = _diagonal_ids(n)
     corners, held = _hexagon_faces(n)
     count = len(corners)
-    # the hexagon's triangulations on the face's corners, which ascend, so i < j
+    # the hexagon's triangulations on the face's corners
     hexagon = _diagonal_ids(6)[0][_id_rows(6)]
-    inner = lookup[corners[:, hexagon[..., 0]], corners[:, hexagon[..., 1]]]
+    inner = _pair_ids(n, corners[:, hexagon[..., 0]], corners[:, hexagon[..., 1]])
     shape = (count, len(hexagon), n - 6)
     rows = np.concatenate([np.broadcast_to(held[:, None], shape), inner], axis=2)
     verts = _row_index(n, rows.reshape(-1, n - 3)).reshape(count, -1)
@@ -273,7 +279,7 @@ def ear_counts(n: int, max_n: int | None = None) -> tuple[int, ...]:
     """t1 of every triangulation of the n-gon, in vertex order.
 
     t1 is the number of polygon vertices that no diagonal touches; for
-    n >= 4 each is the tip of one ear, so t1 equals ear_count.
+    n >= 4 each is the tip of one ear, a leaf of the dual tree.
     """
     _check_range(n, max_n)
     rows = _id_rows(n)

@@ -9,6 +9,7 @@ timing is only emitted when --timing is passed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import io
 import json
@@ -129,7 +130,6 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_census(args) -> int:
-    fh = io.StringIO()
     t1 = census.ear_counts(args.n, args.max_n)
     flips = _flip_pass(args.n)  # one flip pass serves both censuses
     pent = census.pentagon_census(args.n, oracle=args.oracle, max_n=args.max_n, _flips=flips)
@@ -138,46 +138,21 @@ def cmd_census(args) -> int:
         if args.n >= 6 else None
     )
     if args.edges:
-        if args.oracle:
-            fh.write("u,v,pentagon_count,pentagon_oracle,hexagon_count,hexagon_oracle\n")
-        else:
-            fh.write("u,v,pentagon_count,hexagon_count\n")
-        zeros = (0,) * len(pent.per_edge)
-        hexa_edge, hexa_oracle = (hexa.per_edge, hexa.oracle_per_edge) if hexa else (zeros, zeros)
-        edges = build_associahedron(args.n, args.max_n).edges()
-        for (u, v), c, po, hc, ho in zip(
-            edges, pent.per_edge, pent.oracle_per_edge or zeros, hexa_edge, hexa_oracle or zeros
-        ):
-            if args.oracle:
-                fh.write(f"{u},{v},{c},{po},{hc},{ho}\n")
-            else:
-                fh.write(f"{u},{v},{c},{hc}\n")
+        u, v = zip(*build_associahedron(args.n, args.max_n).edges())
+        columns = {"u": u, "v": v, "pentagon_count": pent.per_edge}
+        hexa_name, per = "hexagon_count", "per_edge"
     else:
-        if args.oracle:
-            fh.write("vertex_index,t1,pentagon_formula,pentagon_oracle,hexagon_total,hexagon_oracle\n")
-        else:
-            fh.write("vertex_index,t1,pentagon_formula,hexagon_total\n")
-        for i, ears in enumerate(t1):
-            pf = pent.per_vertex[i]
-            hx = hexa.per_vertex[i] if hexa else 0
-            if args.oracle:
-                po = pent.oracle_per_vertex[i]
-                ho = hexa.oracle_per_vertex[i] if hexa else 0
-                fh.write(f"{i},{ears},{pf},{po},{hx},{ho}\n")
-            else:
-                fh.write(f"{i},{ears},{pf},{hx}\n")
-    _emit(args, fh.getvalue())
+        columns = {"vertex_index": range(len(t1)), "t1": t1, "pentagon_formula": pent.per_vertex}
+        hexa_name, per = "hexagon_total", "per_vertex"
+    zeros = (0,) * len(getattr(pent, per))  # no hexagon below n = 6
+    if args.oracle:
+        columns["pentagon_oracle"] = getattr(pent, "oracle_" + per)
+    columns[hexa_name] = getattr(hexa, per) if hexa else zeros
+    if args.oracle:
+        columns["hexagon_oracle"] = getattr(hexa, "oracle_" + per) if hexa else zeros
+    lines = [",".join(columns)] + [",".join(map(str, row)) for row in zip(*columns.values())]
+    _emit(args, "".join(line + "\n" for line in lines))
     return EXIT_OK
-
-
-def _bound_report_obj(rep: bounds.BoundReport) -> dict:
-    return {
-        "bound_name": rep.bound_name,
-        "bound_value": rep.bound_value,
-        "exact_value": rep.exact_value,
-        "satisfied": rep.satisfied,
-        "parameters": rep.parameters,
-    }
 
 
 def _parse_pattern(text: str):
@@ -217,7 +192,7 @@ def cmd_bounds(args) -> int:
             None,
             {"m": stats.m, "t": stats.t, "copies": stats.copy_count},
         )
-        _emit(args, _json([_bound_report_obj(report)]))
+        _emit(args, _json([dataclasses.asdict(report)]))
         return EXIT_CLAIM if report.satisfied is False else EXIT_OK
     if args.certify and args.n is None:
         results = certify.run_certification(args.n_max, seed=args.seed)
@@ -234,7 +209,7 @@ def cmd_bounds(args) -> int:
         lam_min = spectra.lambda_min(g, seed=args.seed).value
         lam2 = spectra.lambda_2(g, seed=args.seed).value
     reports = bounds.flipgraph_bound_reports(args.n, lam_min=lam_min, lam2=lam2, eps=args.eps)
-    _emit(args, _json([_bound_report_obj(r) for r in reports]))
+    _emit(args, _json([dataclasses.asdict(r) for r in reports]))
     failed = [r for r in reports if r.satisfied is False]
     return EXIT_CLAIM if failed else EXIT_OK
 

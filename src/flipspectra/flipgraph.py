@@ -19,7 +19,7 @@ import numpy as np
 
 from . import triangulations as tri
 from .errors import CapacityError, InvalidInputError
-from .triangulations import _check_range, _diagonal_ids, _id_rows, _row_keys
+from .triangulations import _check_range, _codes, _diagonal_ids, _id_rows, _pair_ids, _row_index
 
 BOX_PRODUCT_LIMIT_DEFAULT = 2_000_000
 # pairings random_regular_graph draws before giving up; about 1 in 80 of 8-12 vertices
@@ -44,11 +44,7 @@ class Graph:
     @cached_property
     def labels(self) -> tuple[str, ...] | None:
         """Each vertex's triangulation code on a flip graph, built on first read; else None."""
-        if self.polygon is None:
-            return None
-        ends, _ = _diagonal_ids(self.polygon)
-        names = np.array([f"{i + 1}-{j + 1}" for i, j in ends.tolist()], dtype=object)
-        return tuple(map(",".join, names[_id_rows(self.polygon)].tolist()))
+        return None if self.polygon is None else _codes(self.polygon)
 
     @property
     def vertex_count(self) -> int:
@@ -99,7 +95,7 @@ class Graph:
     def dense_adjacency(self) -> np.ndarray:
         nv = self.vertex_count
         a = np.zeros((nv, nv))
-        a[np.repeat(np.arange(nv), self.degrees()), self.neighbors] = 1.0
+        a[self.arcs()] = 1.0
         return a
 
 
@@ -188,7 +184,7 @@ def build_associahedron(n: int, max_n: int | None = None) -> Graph:
     """Flip graph on triangulations of the n-gon.
 
     Vertex i is row i of the array enumeration ``_id_rows(n)``, whose order
-    is the canonical one, so it is also enumerate_triangulations(n)[i].
+    is the canonical one, so its code is enumerate_triangulations(n)[i].
     The graph is (n-3)-regular on catalan(n-2) vertices; n = 3 gives the
     single-vertex graph.
     """
@@ -245,19 +241,7 @@ def diagonal_slice(n: int, d: Iterable[int], max_n: int | None = None) -> Graph:
 
 def _slice_mask(n: int, d: tuple[int, int]) -> np.ndarray:
     """Which rows of _id_rows(n) hold the diagonal d (1-based endpoints)."""
-    _, lookup = _diagonal_ids(n)
-    return (_id_rows(n) == lookup[d[0] - 1, d[1] - 1]).any(axis=1)
-
-
-def _row_index(m: int, rows: np.ndarray) -> np.ndarray:
-    """Index in _id_rows(m) of each row of diagonal ids of the m-gon.
-
-    Sorts the rows in place first.
-    """
-    if rows.shape[1] == 0:  # the triangle's one triangulation
-        return np.zeros(len(rows), dtype=np.int64)
-    rows.sort(axis=1)
-    return np.searchsorted(_row_keys(_id_rows(m)), _row_keys(rows))
+    return (_id_rows(n) == _pair_ids(n, d[0] - 1, d[1] - 1)).any(axis=1)
 
 
 @lru_cache(maxsize=32)
@@ -271,10 +255,8 @@ def rotation_orbits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     range of n is the caller's to check.
     """
     rows = _id_rows(n)
-    ends, lookup = _diagonal_ids(n)
-    # lookup is filled for i < j only, so order each rotated pair
-    a, b = ((ends + 1) % n).T
-    turn = lookup[np.minimum(a, b), np.maximum(a, b)]
+    a, b = ((_diagonal_ids(n)[0] + 1) % n).T
+    turn = _pair_ids(n, a, b)
     rot = _row_index(n, turn[rows])
     count = len(rows)
     v = np.arange(count)
@@ -302,18 +284,17 @@ def slice_product_map(n: int, k: int) -> np.ndarray:
     """
     tri.validate_diagonal(n, (1, k))
     _check_range(n, None)
-    ends, lookup = _diagonal_ids(n)
     rows = _id_rows(n)[_slice_mask(n, (1, k))]
     # drop 1-k itself; the other diagonals keep their ascending order
-    rest = rows[rows != lookup[0, k - 1]].reshape(len(rows), n - 4)
-    i, j = ends[rest].transpose(2, 0, 1)
+    rest = rows[rows != _pair_ids(n, 0, k - 1)].reshape(len(rows), n - 4)
+    i, j = _diagonal_ids(n)[0][rest].transpose(2, 0, 1)
     # 0-based: a left diagonal ends at or before k-1, a right one after it
     left = j < k
-    a = _row_index(k, _diagonal_ids(k)[1][i[left], j[left]].reshape(len(rows), k - 3))
+    a = _row_index(k, _pair_ids(k, i[left], j[left]).reshape(len(rows), k - 3))
     # the right polygon's vertices k-1, ..., n-1, 0 become 0, ..., n-k+1
     p, q = (i[~left] - k + 1) % n, (j[~left] - k + 1) % n
-    right = _diagonal_ids(n - k + 2)[1][np.minimum(p, q), np.maximum(p, q)]
-    b = _row_index(n - k + 2, right.reshape(len(rows), n - k - 1))
+    right = _pair_ids(n - k + 2, p, q).reshape(len(rows), n - k - 1)
+    b = _row_index(n - k + 2, right)
     return a * tri.catalan(n - k) + b
 
 
@@ -330,12 +311,11 @@ def is_isomorphic(g: Graph, h: Graph, mapping) -> bool:
     phi = np.asarray(mapping, dtype=np.int64)
     if not np.array_equal(np.sort(phi), np.arange(nv)):
         return False
-    src = phi[np.repeat(np.arange(nv), g.degrees())]
-    dst = phi[g.neighbors]
+    src, dst = (phi[x] for x in g.arcs())
     order = np.lexsort((dst, src))
     # h's compressed adjacency read as its sorted (vertex, neighbour) pairs
-    h_src = np.repeat(np.arange(nv), h.degrees())
-    return np.array_equal(src[order], h_src) and np.array_equal(dst[order], h.neighbors)
+    h_src, h_dst = h.arcs()
+    return np.array_equal(src[order], h_src) and np.array_equal(dst[order], h_dst)
 
 
 def validate_regular(g: Graph, d: int) -> bool:
@@ -405,12 +385,19 @@ def random_regular_graph(vertex_count: int, d: int, seed: int = 0) -> Graph:
     Pairings (d stubs per vertex, shuffled, joined two by two) are drawn in
     batches doubling from 8, up to 2^20 stubs a batch; the first simple
     one, with no loop and no repeated edge, is the graph, so the draw is
-    deterministic per seed.
+    deterministic per seed.  Above degree (vertex_count - 1) / 2, where
+    simple pairings grow rare, the graph is the complement of the
+    (vertex_count - 1 - d)-regular draw with the same seed; complementing
+    is a bijection, so that draw is uniform too.
     """
     if vertex_count * d % 2 != 0:
         raise InvalidInputError("vertex_count * d must be even")
     if d >= vertex_count:
         raise InvalidInputError("degree must be below the vertex count")
+    if 2 * d > vertex_count - 1:
+        keep = ~np.eye(vertex_count, dtype=bool)
+        keep[random_regular_graph(vertex_count, vertex_count - 1 - d, seed).arcs()] = False
+        return _from_arcs(vertex_count, *np.nonzero(keep))
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(vertex_count), d)
     batch, drawn = 8, 0

@@ -1,27 +1,27 @@
-"""Triangulations of a convex polygon: enumeration, flips, and dual trees.
+"""Triangulations of a convex polygon, as rows of diagonal ids.
 
 Polygon vertices are labeled 1..n clockwise.  A diagonal is a normalized
 pair (i, j) with i < j and j - i >= 2, excluding the closing side (1, n).
 A triangulation of the n-gon consists of n - 3 pairwise non-crossing
-diagonals; the sorted diagonal tuple doubles as the canonical code, so two
-triangulations are equal exactly when their codes are equal.
+diagonals; its canonical code lists them sorted, e.g. '1-3,1-4,1-5'.
 
-Enumeration works on arrays: every triangulation is one row of ascending
-uint8 diagonal ids (``_id_rows``), which the flip graph and the census read
-directly; ``enumerate_triangulations`` turns the rows into objects.
+The encoding is defined here: every triangulation is one row of
+ascending uint8 diagonal ids (``_id_rows``), which the flip graph and the
+census read directly.  ``_row_index`` finds
+rows among them, ``_pair_ids`` numbers chords, and
+``enumerate_triangulations`` turns the rows into codes.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, NotPresentError, RangeError
+from .errors import CapacityError, InvalidInputError, RangeError
 
 Diagonal = tuple[int, int]
 
@@ -69,79 +69,6 @@ def validate_diagonal(n: int, d: Iterable[int]) -> Diagonal:
     return (i, j)
 
 
-def crosses(d1: Iterable[int], d2: Iterable[int], n: int | None = None) -> bool:
-    """True iff the two diagonals strictly interleave on the circle.
-
-    Diagonals sharing an endpoint never cross.  When ``n`` is given, both
-    arguments are validated as diagonals of the same n-gon first.
-    """
-    if n is not None:
-        d1 = validate_diagonal(n, d1)
-        d2 = validate_diagonal(n, d2)
-    a, b = normalize_diagonal(d1)
-    c, d = normalize_diagonal(d2)
-    if len({a, b, c, d}) < 4:
-        return False
-    return a < c < b < d or c < a < d < b
-
-
-@dataclass(frozen=True)
-class Triangulation:
-    """A maximal set of non-crossing diagonals of the labeled n-gon.
-
-    The constructor normalizes and sorts the diagonals and rejects anything
-    that is not a valid triangulation, so every instance is canonical.
-    """
-
-    n: int
-    diagonals: tuple[Diagonal, ...]
-
-    def __post_init__(self):
-        n = self.n
-        if n < 3:
-            raise InvalidInputError("polygon needs at least 3 vertices")
-        diags = tuple(sorted(validate_diagonal(n, d) for d in self.diagonals))
-        if len(set(diags)) != len(diags):
-            raise InvalidInputError("duplicate diagonals")
-        if len(diags) != n - 3:
-            raise InvalidInputError(
-                f"a triangulation of the {n}-gon has {n - 3} diagonals, got {len(diags)}"
-            )
-        for x in range(len(diags)):
-            a, b = diags[x]
-            for y in range(x + 1, len(diags)):
-                c, d = diags[y]
-                if a < c < b < d or c < a < d < b:
-                    raise InvalidInputError(f"diagonals {diags[x]} and {diags[y]} cross")
-        object.__setattr__(self, "diagonals", diags)
-
-    def code(self) -> str:
-        """Canonical text form, e.g. '1-3,1-4,1-5'."""
-        return ",".join(f"{i}-{j}" for i, j in self.diagonals)
-
-    @staticmethod
-    def from_code(n: int, text: str) -> "Triangulation":
-        text = text.strip()
-        if not text:
-            return Triangulation(n, ())
-        diags = []
-        for part in text.split(","):
-            i, _, j = part.partition("-")
-            diags.append((int(i), int(j)))
-        return Triangulation(n, tuple(diags))
-
-
-def fan_triangulation(n: int, apex: int = 1) -> Triangulation:
-    """All diagonals from one vertex; its dual tree is a path."""
-    if not 1 <= apex <= n:
-        raise InvalidInputError(f"apex {apex} not a vertex of the {n}-gon")
-    diags = []
-    for off in range(2, n - 1):
-        v = (apex - 1 + off) % n + 1
-        diags.append(normalize_diagonal((apex, v)))
-    return Triangulation(n, tuple(diags))
-
-
 @lru_cache(maxsize=32)
 def _diagonal_ids(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(ends, lookup) for the diagonals of the n-gon, numbered in lexicographic order.
@@ -159,6 +86,14 @@ def _diagonal_ids(n: int) -> tuple[np.ndarray, np.ndarray]:
     lookup[ends[:, 0], ends[:, 1]] = np.arange(len(ends))
     ends.flags.writeable = lookup.flags.writeable = False
     return ends, lookup
+
+
+def _pair_ids(n: int, x, y):
+    """Id of the diagonal xy of the n-gon, for 0-based endpoints in either order.
+
+    Elementwise on arrays; a side of the polygon has no id and reads as 0.
+    """
+    return _diagonal_ids(n)[1][np.minimum(x, y), np.maximum(x, y)]
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -220,109 +155,33 @@ def _id_rows(n: int) -> np.ndarray:
     return rows
 
 
-def enumerate_triangulations(n: int, max_n: int | None = None) -> list[Triangulation]:
-    """All triangulations of the n-gon, in canonical order.
+def _row_index(m: int, rows: np.ndarray) -> np.ndarray:
+    """Index in _id_rows(m) of each row of diagonal ids of the m-gon.
 
-    Triangulation i is row i of ``_id_rows(n)``, which is vertex i of the
-    flip graph; the list has exactly catalan(n - 2) elements, sorted by
-    their diagonal tuples.
+    Sorts the rows in place first.
+    """
+    if rows.shape[1] == 0:  # the triangle's one triangulation
+        return np.zeros(len(rows), dtype=np.int64)
+    rows.sort(axis=1)
+    return np.searchsorted(_row_keys(_id_rows(m)), _row_keys(rows))
+
+
+def _codes(n: int) -> tuple[str, ...]:
+    """The code of each row of _id_rows(n), in row order; no range check."""
+    ends, _ = _diagonal_ids(n)
+    names = np.array([f"{i + 1}-{j + 1}" for i, j in ends.tolist()], dtype=object)
+    return tuple(map(",".join, names[_id_rows(n)].tolist()))
+
+
+def enumerate_triangulations(n: int, max_n: int | None = None) -> tuple[str, ...]:
+    """The code of every triangulation of the n-gon, in canonical order.
+
+    Code i is row i of ``_id_rows(n)``, which is vertex i of the flip
+    graph; there are exactly catalan(n - 2), sorted by their diagonal
+    tuples.  The flip graph's ``labels`` are the same tuple.
     """
     _check_range(n, max_n)
-    ends, _ = _diagonal_ids(n)
-    return [
-        Triangulation(n, tuple(map(tuple, ds))) for ds in (ends + 1)[_id_rows(n)].tolist()
-    ]
-
-
-def _edge_set(t: Triangulation) -> set[Diagonal]:
-    es = {(i, i + 1) for i in range(1, t.n)}
-    es.add((1, t.n))
-    es.update(t.diagonals)
-    return es
-
-
-def flip(t: Triangulation, d: Iterable[int]) -> tuple[Diagonal, Triangulation]:
-    """Replace diagonal d by the opposite chord of its surrounding quadrilateral.
-
-    Returns (new_diagonal, new_triangulation).  Flipping the returned
-    diagonal in the result recovers the original triangulation.
-    """
-    d = normalize_diagonal(d)
-    if d not in t.diagonals:
-        raise NotPresentError(f"{d} is not a diagonal of {t.code()!r}")
-    edges = _edge_set(t)
-    a, b = d
-    apexes = [
-        c
-        for c in range(1, t.n + 1)
-        if c != a
-        and c != b
-        and (min(a, c), max(a, c)) in edges
-        and (min(b, c), max(b, c)) in edges
-    ]
-    assert len(apexes) == 2, "a diagonal bounds exactly two triangles"
-    q = sorted((a, b, apexes[0], apexes[1]))
-    # the quadrilateral's chords are (q0, q2) and (q1, q3); d is one of them
-    new = (q[1], q[3]) if d == (q[0], q[2]) else (q[0], q[2])
-    rest = tuple(dd for dd in t.diagonals if dd != d)
-    return new, Triangulation(t.n, rest + (new,))
-
-
-def neighbors(t: Triangulation) -> list[Triangulation]:
-    """The n - 3 triangulations one flip away, in diagonal order."""
-    return [flip(t, d)[1] for d in t.diagonals]
-
-
-def triangles_of(t: Triangulation) -> list[tuple[int, int, int]]:
-    """The n - 2 triangles of the decomposition, as sorted vertex triples.
-
-    In a convex polygon every 3-clique of the side-plus-diagonal edge set is
-    a face, so scanning cliques recovers exactly the triangle list.
-    """
-    edges = _edge_set(t)
-    n = t.n
-    tris = []
-    for a in range(1, n - 1):
-        for b in range(a + 1, n + 1):
-            if (a, b) not in edges:
-                continue
-            for c in range(b + 1, n + 1):
-                if (a, c) in edges and (b, c) in edges:
-                    tris.append((a, b, c))
-    return tris
-
-
-@dataclass(frozen=True)
-class DualTree:
-    """Tree on the triangles of a triangulation; adjacency = shared diagonal.
-
-    node_count is n - 2, every degree is 1, 2 or 3, and the degree counts
-    satisfy t3 = t1 - 2 and t2 = n - 2*t1.
-    """
-
-    node_count: int
-    triangles: tuple[tuple[int, int, int], ...]
-    adjacency: tuple[tuple[int, int], ...]
-    degrees: tuple[int, ...]
-
-
-def dual_tree(t: Triangulation) -> DualTree:
-    tris = triangles_of(t)
-    sets = [set(tr) for tr in tris]
-    edges = []
-    deg = [0] * len(tris)
-    for i in range(len(tris)):
-        for j in range(i + 1, len(tris)):
-            if len(sets[i] & sets[j]) == 2:
-                edges.append((i, j))
-                deg[i] += 1
-                deg[j] += 1
-    return DualTree(len(tris), tuple(tris), tuple(edges), tuple(deg))
-
-
-def ear_count(t: Triangulation) -> int:
-    """Number of triangles with two polygon sides (leaves of the dual tree)."""
-    return dual_tree(t).degrees.count(1)
+    return _codes(n)
 
 
 def polygon_regions(n: int, diagonals: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:

@@ -18,6 +18,7 @@ import numpy as np
 from flipspectra.bounds import (
     assoc_lower_bound,
     certify_collection_bound,
+    holds,
     limit_bracket,
     odd_cycle_bound,
 )
@@ -40,32 +41,50 @@ from flipspectra.reference import (
     LAMBDA_MIN_TABLE,
     LIMIT_LOWER_CONSTANT,
     LIMIT_UPPER_CONSTANT,
+    check_reference,
 )
 from flipspectra.spectra import dense_spectrum
-from flipspectra.triangulations import catalan, ear_count, enumerate_triangulations
+from flipspectra.triangulations import catalan
 from flipspectra.walk import aldous_test_function, dirichlet_quotient
+from oracles import ear_count, enumerate_objects
 
 
 def _report(num, label, ok, detail=""):
     print(f"ACCEPTANCE {num} ({label}): {'PASS' if ok else 'FAIL'} {detail}".rstrip())
 
 
+def _table_misses(kind, values):
+    """Each n in 5..12 whose value ``check_reference`` rejects, with that value."""
+    return {n: values[n] for n in range(5, 13) if not check_reference(kind, n, values[n])}
+
+
 def test_criterion_1_lambda_min_table(lambda_min_values):
     t0 = time.perf_counter()
-    diffs = {
-        n: abs(lambda_min_values[n] - LAMBDA_MIN_TABLE[n]) for n in range(5, 13)
-    }
-    ok = all(d <= 1e-3 for d in diffs.values())
+    misses = _table_misses("lambda_min", lambda_min_values)
+    diff = max(abs(lambda_min_values[n] - LAMBDA_MIN_TABLE[n]) for n in range(5, 13))
+    ok = not misses
     _report(1, "lambda_min table n=5..12",
-            ok, f"max diff {max(diffs.values()):.2e}, {time.perf_counter() - t0:.1f}s")
-    assert ok, diffs
+            ok, f"max diff {diff:.2e}, {time.perf_counter() - t0:.1f}s")
+    assert ok, misses
+
+
+def test_criterion_1_rejects_a_value_above_its_rounded_up_entry():
+    # lambda_min is rounded up to its entry, so 5e-4 above it cannot round to it
+    values = {**LAMBDA_MIN_TABLE, 8: LAMBDA_MIN_TABLE[8] + 5e-4}
+    assert set(_table_misses("lambda_min", values)) == {8}
+
+
+def test_criterion_2_rejects_a_value_below_its_rounded_down_entry():
+    values = {**LAMBDA_2_TABLE, 8: LAMBDA_2_TABLE[8] - 5e-4}
+    assert set(_table_misses("lambda_2", values)) == {8}
 
 
 def test_criterion_2_lambda_2_table(lambda_2_values):
-    diffs = {n: abs(lambda_2_values[n] - LAMBDA_2_TABLE[n]) for n in range(5, 13)}
-    ok = all(d <= 1e-3 for d in diffs.values())
-    _report(2, "lambda_2 table n=5..12", ok, f"max diff {max(diffs.values()):.2e}")
-    assert ok, diffs
+    misses = _table_misses("lambda_2", lambda_2_values)
+    diff = max(abs(lambda_2_values[n] - LAMBDA_2_TABLE[n]) for n in range(5, 13))
+    ok = not misses
+    _report(2, "lambda_2 table n=5..12", ok, f"max diff {diff:.2e}")
+    assert ok, misses
 
 
 def _charpoly(a):
@@ -153,7 +172,7 @@ def test_criterion_4_pentagon_census():
     ok = True
     for n in range(5, 10):
         rep = pentagon_census(n, oracle=True)
-        ts = enumerate_triangulations(n)
+        ts = enumerate_objects(n)
         ok &= rep.per_vertex == rep.oracle_per_vertex
         ok &= all(c == n - 6 + ear_count(t) for c, t in zip(rep.per_vertex, ts))
         ok &= all(c >= n - 4 for c in rep.per_vertex)
@@ -217,7 +236,7 @@ def test_criterion_8_subadditivity_and_slices(lambda_min_values):
     # slice(k + l - 2, (1, k)) is A_k box A_l; interlacing bounds lambda_min(k + l - 2)
     for k in range(4, 8):
         for l in range(k, 15 - k):
-            sub &= lam[k + l - 2] <= lam[k] + lam[l] + 1e-8
+            sub &= holds(lam[k + l - 2], lam[k] + lam[l])
     slices = True
     for n in range(4, 11):
         for k in range(3, n):

@@ -23,14 +23,14 @@ from flipspectra.flipgraph import (
     cycle_graph,
     petersen_graph,
 )
-from flipspectra.triangulations import (
+from flipspectra.triangulations import polygon_regions
+from oracles import (
     Triangulation,
     crosses,
     dual_tree,
     ear_count,
-    enumerate_triangulations,
+    enumerate_objects,
     fan_triangulation,
-    polygon_regions,
 )
 
 
@@ -55,7 +55,7 @@ def oracle_hexagon_supports(n: int) -> list[tuple[tuple[int, int], ...]]:
 def oracle_hexagon_census(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The support census through Python sets: each support's vertices and their edges."""
     g = build_associahedron(n)
-    diagonals = [set(t.diagonals) for t in enumerate_triangulations(n)]
+    diagonals = [set(t.diagonals) for t in enumerate_objects(n)]
     per_vertex = [0] * g.vertex_count
     per_edge = {}
     for support in hexagon_supports(n):
@@ -91,7 +91,7 @@ def test_pentagon_vertex_formula_examples():
 @pytest.mark.parametrize("n", range(5, 9))
 def test_pentagon_vertex_formula_identity(n):
     rep = pentagon_census(n)
-    for c, t in zip(rep.per_vertex, enumerate_triangulations(n), strict=True):
+    for c, t in zip(rep.per_vertex, enumerate_objects(n), strict=True):
         assert c == n - 6 + ear_count(t)
         assert c == sum(comb(d, 2) for d in dual_tree(t).degrees)
         assert c >= n - 4
@@ -99,7 +99,7 @@ def test_pentagon_vertex_formula_identity(n):
 
 @pytest.mark.parametrize("n", range(4, 11))
 def test_ear_counts_match_dual_tree_leaves(n):
-    assert ear_counts(n) == tuple(ear_count(t) for t in enumerate_triangulations(n))
+    assert ear_counts(n) == tuple(ear_count(t) for t in enumerate_objects(n))
 
 
 def test_pentagon_vertex_oracle_examples():
@@ -166,26 +166,41 @@ def test_hexagon_vertex_formula_examples():
     assert hexagon_census(6).per_vertex == (1,) * 14
     assert hexagon_census(7).per_vertex[_index(fan_triangulation(7))] == 2
     # a path dual tree realizes the minimum n - 5
-    snake8 = next(t for t in enumerate_triangulations(8) if ear_count(t) == 2)
+    snake8 = next(t for t in enumerate_objects(8) if ear_count(t) == 2)
     assert hexagon_census(8).per_vertex[_index(snake8)] == 3
 
 
 def test_hexagon_vertex_oracle_examples():
-    for t in enumerate_triangulations(6):
-        assert hexagon_count_vertex_oracle(6, t) == 1
-    assert hexagon_count_vertex_oracle(7, fan_triangulation(7)) == 2
+    for t in enumerate_objects(6):
+        assert hexagon_count_vertex_oracle(6, t.diagonals) == 1
+    assert hexagon_count_vertex_oracle(7, fan_triangulation(7).diagonals) == 2
 
 
 def test_hexagon_vertex_oracle_checks_n():
     with pytest.raises(InvalidInputError):
-        hexagon_count_vertex_oracle(7, fan_triangulation(8))
+        hexagon_count_vertex_oracle(7, fan_triangulation(8).diagonals)
+
+
+@pytest.mark.parametrize(
+    "diagonals",
+    [
+        ((1, 3), (1, 4), (1, 5)),  # one short
+        ((1, 3), (1, 3), (1, 4), (1, 5)),  # a repeat in place of 1-6
+        ((1, 3), (1, 3), (1, 4), (1, 5), (1, 6)),  # the fan and a repeat
+        ((1, 3), (2, 4), (1, 4), (1, 5)),  # 1-3 and 2-4 cross
+        ((1, 2), (1, 4), (1, 5), (1, 6)),  # 1-2 is a side
+    ],
+)
+def test_hexagon_vertex_oracle_rejects_what_is_not_a_triangulation(diagonals):
+    with pytest.raises(InvalidInputError):
+        hexagon_count_vertex_oracle(7, diagonals)
 
 
 @pytest.mark.parametrize("n", range(6, 9))
 def test_hexagon_vertex_formula_matches_oracle(n):
     rep = hexagon_census(n)
-    for total, t in zip(rep.per_vertex, enumerate_triangulations(n), strict=True):
-        assert total == hexagon_count_vertex_oracle(n, t)
+    for total, t in zip(rep.per_vertex, enumerate_objects(n), strict=True):
+        assert total == hexagon_count_vertex_oracle(n, t.diagonals)
         assert total >= n - 5
 
 

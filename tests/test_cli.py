@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flipspectra.cli import build_parser, main
-from flipspectra.triangulations import ear_count, enumerate_triangulations
+from oracles import ear_count, enumerate_objects
 
 
 def run_cli(capsys, *argv):
@@ -27,7 +27,7 @@ def test_enumerate(capsys):
 def test_enumerate_matches_triangulation_codes(capsys, n):
     code, out, _ = run_cli(capsys, "enumerate", "--n", str(n))
     assert code == 0
-    assert out == "".join(t.code() + "\n" for t in enumerate_triangulations(n))
+    assert out == "".join(t.code() + "\n" for t in enumerate_objects(n))
 
 
 def test_enumerate_above_size_cap_is_input_error(capsys):
@@ -111,7 +111,7 @@ def test_census_oracle_columns_agree(capsys, n):
     code, out, _ = run_cli(capsys, "census", "--n", str(n), "--oracle")
     assert code == 0
     rows = [line.split(",") for line in out.strip().split("\n")[1:]]
-    ts = enumerate_triangulations(n)
+    ts = enumerate_objects(n)
     assert [int(row[0]) for row in rows] == list(range(len(ts)))
     for (_, t1, pf, po, hx, ho), t in zip(rows, ts):
         assert pf == po and hx == ho

@@ -27,15 +27,16 @@ from flipspectra.flipgraph import (
 )
 from flipspectra import flipgraph as fg
 from flipspectra import triangulations as tri
-from flipspectra.triangulations import catalan, crosses
+from flipspectra.triangulations import catalan
+from oracles import Triangulation, crosses, enumerate_objects, neighbors
 
 
 def flip_oracle_graph(n):
     """The flip graph built one validated flip at a time, with each vertex's code."""
-    ts = tri.enumerate_triangulations(n)
+    ts = enumerate_objects(n)
     index = {t.diagonals: i for i, t in enumerate(ts)}
     edges = [
-        (i, index[nb.diagonals]) for i, t in enumerate(ts) for nb in tri.neighbors(t)
+        (i, index[nb.diagonals]) for i, t in enumerate(ts) for nb in neighbors(t)
     ]
     return from_edges(len(ts), edges), tuple(t.code() for t in ts), ts
 
@@ -208,9 +209,9 @@ def test_csr_neighbors_differ_by_one_crossing_flip(data):
     n = data.draw(st.integers(3, 11))
     g = build_associahedron(n)
     v = data.draw(st.integers(0, g.vertex_count - 1))
-    here = set(tri.Triangulation.from_code(n, g.labels[v]).diagonals)
+    here = set(Triangulation.from_code(n, g.labels[v]).diagonals)
     for w in g.neighbors_of(v):
-        there = set(tri.Triangulation.from_code(n, g.labels[int(w)]).diagonals)
+        there = set(Triangulation.from_code(n, g.labels[int(w)]).diagonals)
         (gone,), (new,) = here - there, there - here
         assert crosses(gone, new)
 
@@ -246,7 +247,8 @@ def test_labels_are_built_on_first_read(n):
     fg._associahedron_cached.cache_clear()
     g = build_associahedron(n)
     assert "labels" not in vars(g)
-    assert g.labels == tuple(t.code() for t in tri.enumerate_triangulations(n))
+    assert g.labels == tuple(t.code() for t in enumerate_objects(n))
+    assert g.labels == tri.enumerate_triangulations(n)
     assert "labels" in vars(g) and g.labels is g.labels
 
 
@@ -396,10 +398,21 @@ def test_random_regular_graph_is_simple_for_every_seed(nv, d):
 
 
 def test_random_regular_graph_gives_up_on_a_budget(monkeypatch):
-    # none of 10^6 pairings of 10 vertices at degree 8 was simple
+    # at 30 vertices of degree 14, about e^-49 of the pairings is simple
     monkeypatch.setattr(fg, "RANDOM_REGULAR_PAIRINGS", 64)
     with pytest.raises(CapacityError):
-        random_regular_graph(10, 8, seed=0)
+        random_regular_graph(30, 14, seed=0)
+
+
+@pytest.mark.parametrize("nv, d", [(10, 8), (12, 9), (20, 17), (10, 9), (7, 6)])
+def test_random_regular_graph_samples_dense_degrees(nv, d):
+    for seed in range(20):
+        g = random_regular_graph(nv, d, seed=seed)
+        u, v = g.arcs()
+        assert validate_regular(g, d) and g.edge_count == nv * d // 2 and (u != v).all()
+        # the complement of the sparse draw with the same seed
+        sparse = random_regular_graph(nv, nv - 1 - d, seed=seed)
+        assert not set(g.edges()) & set(sparse.edges())
 
 
 def test_loops_rejected():

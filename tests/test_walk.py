@@ -6,12 +6,6 @@ import pytest
 from flipspectra.errors import InvalidInputError, RangeError
 from flipspectra.flipgraph import build_associahedron, cycle_graph, from_edges, path_graph
 from flipspectra.spectra import lambda_2
-from flipspectra.triangulations import (
-    Triangulation,
-    dual_tree,
-    enumerate_triangulations,
-    fan_triangulation,
-)
 from flipspectra.walk import (
     WalkConfig,
     aldous_test_function,
@@ -19,6 +13,7 @@ from flipspectra.walk import (
     gap_scan,
     simulate_walk,
 )
+from oracles import Triangulation, dual_tree, enumerate_objects, fan_triangulation
 
 
 def test_walk_zero_steps_stays_put():
@@ -156,7 +151,7 @@ def oracle_aldous_test_function(n: int) -> np.ndarray:
     p = n // 4
     return np.array([
         min(min(abs(a - p), n - abs(a - p)) for a in central_triangle(t))
-        for t in enumerate_triangulations(n)
+        for t in enumerate_objects(n)
     ], dtype=float)
 
 
@@ -169,7 +164,7 @@ def test_central_triangle_examples():
 
 def test_central_triangle_is_a_centroid():
     # removing the chosen node leaves components of size at most (n-2)/2
-    for t in enumerate_triangulations(8):
+    for t in enumerate_objects(8):
         chosen = central_triangle(t)
         dt = dual_tree(t)
         idx = dt.triangles.index(chosen)
