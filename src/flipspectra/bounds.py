@@ -395,17 +395,16 @@ def mixing_bounds(n: int, lam2: float, eps: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class LimitBracket:
-    """Bracket for lim lambda_min / (n-3) with the table-derived estimate.
+    """Bracket for lim lambda_min / (n-3), with the table's ratios.
 
-    ``empirical_upper`` is min over the table of lambda_min / (n-2): the
-    subadditive sequence lambda_min(n) is indexed by n-2 under slicing
-    (a k-gon and an (n-k+2)-gon share two vertices), so Fekete's lemma
-    bounds the limit by every per-step rate lambda_min / (n-2).
+    ``upper`` is lambda_min(12) / 10, the least lambda_min / (n-2) of the
+    table: the subadditive sequence lambda_min(n) is indexed by n-2 under
+    slicing (a k-gon and an (n-k+2)-gon share two vertices), so Fekete's
+    lemma bounds the limit by every per-step rate lambda_min / (n-2).
     """
 
     upper: float
     lower: float
-    empirical_upper: float
     ratios: dict[int, float]
 
     def contains(self, ratio: float) -> bool:
@@ -415,8 +414,7 @@ class LimitBracket:
 
 def limit_bracket() -> LimitBracket:
     ratios = {n: LAMBDA_MIN_TABLE[n] / (n - 3) for n in range(5, 13)}
-    empirical = min(LAMBDA_MIN_TABLE[n] / (n - 2) for n in range(4, 13))
-    return LimitBracket(LIMIT_UPPER_CONSTANT, LIMIT_LOWER_CONSTANT, empirical, ratios)
+    return LimitBracket(LIMIT_UPPER_CONSTANT, LIMIT_LOWER_CONSTANT, ratios)
 
 
 def collection_bound(d: int, k: int, lam_min_pattern: float, stats: CollectionStats) -> float:

@@ -5,23 +5,25 @@ Counts how many 5-cycles (pentagons) and how many hexagon-flip subgraphs
 edge.  The formula route is array arithmetic on the flip pass that builds
 the flip graph: each flip is one edge of the dual tree, between the
 triangles on the flipped diagonal, and every count follows from those
-triangles' degrees.  Every formula is paired with an independent oracle.
-The pentagon census reads the array copy search ``bounds.collection_stats``
-with the pattern C5, whose subgraph copies are exactly the 5-cycles; the
-simple-path searches through one vertex or one edge stay as a public API.
-The hexagon census has geometric region checks and a whole-graph support
-enumeration.
+triangles' degrees.  Each census and each whole-graph oracle returns a
+``bounds.CollectionStats``: the copies form the collection of the
+paper's bound, with m the least count through a vertex and t the largest
+through an edge.  Every formula is paired with an independent oracle,
+its own call.  The pentagon oracle is the array copy search
+``bounds.collection_stats`` with the pattern C5, whose subgraph copies
+are exactly the 5-cycles; the simple-path searches through one vertex or
+one edge stay as a public API.  The hexagon census has geometric region
+checks and a whole-graph support enumeration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
-from .bounds import collection_stats
+from .bounds import CollectionStats, _stats, collection_stats
 from .errors import CapacityError, InvalidInputError
 from .flipgraph import Graph, _flip_pass, build_associahedron, cycle_graph
 from .triangulations import (
@@ -35,40 +37,6 @@ from .triangulations import (
 )
 
 CENSUS_LIMIT_DEFAULT = 20000
-
-
-@dataclass(frozen=True)
-class CensusReport:
-    """Per-vertex and per-edge counts with their oracle counterparts.
-
-    ``per_vertex``/``per_edge`` hold the formula route, in vertex order and
-    in the flip graph's edge order ``Graph.edges()``; the oracle fields
-    are None unless the report was built with oracle=True, in which case
-    they must agree entry by entry.
-    """
-
-    n: int
-    pattern: str
-    per_vertex: tuple[int, ...]
-    per_edge: tuple[int, ...]
-    oracle_per_vertex: tuple[int, ...] | None = None
-    oracle_per_edge: tuple[int, ...] | None = None
-
-    @property
-    def vertex_min(self) -> int:
-        return min(self.per_vertex)
-
-    @property
-    def vertex_max(self) -> int:
-        return max(self.per_vertex)
-
-    @property
-    def edge_min(self) -> int:
-        return min(self.per_edge)
-
-    @property
-    def edge_max(self) -> int:
-        return max(self.per_edge)
 
 
 def _check_census_size(g: Graph) -> None:
@@ -143,6 +111,17 @@ def count_pentagons_total(g: Graph) -> int:
     return total
 
 
+def pentagon_census_oracle(n: int, max_n: int | None = None) -> CollectionStats:
+    """The 5-cycles of the flip graph by the array copy search.
+
+    Counts the subgraph copies of C5, which are exactly the 5-cycles, with
+    ``bounds.collection_stats`` under the census cap CENSUS_LIMIT_DEFAULT.
+    """
+    g = build_associahedron(n, max_n)
+    _check_census_size(g)
+    return collection_stats(g, cycle_graph(5), host_limit=CENSUS_LIMIT_DEFAULT)
+
+
 # ---------------------------------------------------------------------------
 # hexagon-flip subgraphs through a vertex
 
@@ -174,10 +153,13 @@ def hexagon_count_vertex_oracle(n: int, diagonals: Iterable[Iterable[int]]) -> i
 def _hexagon_faces(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(corners, held) of every hexagonal face of a triangulation, row by row.
 
-    corners[f] holds the face's six corners, ascending and 0-based, and
-    held[f] the diagonal ids of its support: each pocket between
-    consecutive corners with g >= 3 polygon vertices adds its closing
-    chord and one triangulation of the g-gon.
+    Each face has one support: the n - 6 diagonals whose complement is
+    that hexagon plus triangles, and the triangulations containing a
+    support induce one hexagon-flip subgraph.  corners[f] holds the face's
+    six corners, ascending and 0-based, and held[f] the diagonal ids of
+    its support: each pocket between consecutive corners with g >= 3
+    polygon vertices adds its closing chord and one triangulation of the
+    g-gon.
     """
     if n < 6:
         raise InvalidInputError("hexagon supports need n >= 6")
@@ -206,33 +188,15 @@ def _hexagon_faces(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(corners), np.concatenate(held)
 
 
-def hexagon_supports(n: int) -> list[tuple[tuple[int, int], ...]]:
-    """All diagonal sets whose complement is one hexagonal face plus triangles.
-
-    Each such set of n - 6 diagonals pins down one hexagon-flip subgraph:
-    the induced subgraph on the triangulations containing the set.  Built
-    from the hexagon's six corners: each pocket between consecutive
-    corners with g >= 3 polygon vertices adds its closing chord and one
-    triangulation of the g-gon.  Sorted, each set ascending.
-    """
-    # ids follow the diagonals' lexicographic order, so sorted ids give sorted sets
-    held = np.sort(_hexagon_faces(n)[1], axis=1)
-    ends, _ = _diagonal_ids(n)
-    return sorted(tuple(map(tuple, support)) for support in (ends[held] + 1).tolist())
-
-
-def hexagon_census_oracle(
-    n: int, max_n: int | None = None
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def hexagon_census_oracle(n: int, max_n: int | None = None) -> CollectionStats:
     """Whole-graph hexagon census by support enumeration.
 
     For every support set, counts all vertices (triangulations containing
     it) and all internal flip edges: the slots of the neighbour array that
     join two of its vertices.  The vertices of a support are its n - 6
     diagonals plus one of the 14 triangulations of its hexagon, looked up
-    by their id rows.  Returns the per-vertex and per-edge counts, in
-    vertex order and in the order of ``Graph.edges()``.  Independent of
-    the dual-tree arithmetic of the formula route.
+    by their id rows.  Each support is one copy.  Independent of the
+    dual-tree arithmetic of the formula route.
     """
     g = build_associahedron(n, max_n)
     corners, held = _hexagon_faces(n)
@@ -251,8 +215,7 @@ def hexagon_census_oracle(
         inside[keep] = True
         per_arc[slots[inside[g.neighbors[slots]]]] += 1
         inside[keep] = False
-    u, v = g.arcs()
-    return tuple(per_vertex.tolist()), tuple(per_arc[u < v].tolist())
+    return _stats(g, per_vertex.tolist(), per_arc, count)
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +232,20 @@ def _degree(n: int, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return 1 + _is_diagonal(n, x, z) + _is_diagonal(n, y, z)
 
 
-def _edge_counts(target: np.ndarray, counts: np.ndarray) -> tuple[int, ...]:
-    """counts[v, i] of each flip edge (v, target[v, i]) once, in ``Graph.edges()`` order."""
+def _census_stats(
+    per_vertex: np.ndarray, target: np.ndarray, counts: np.ndarray, size: int
+) -> CollectionStats:
+    """CollectionStats of a census whose copies have ``size`` vertices each.
+
+    counts[v, i] belongs to the flip edge (v, target[v, i]); each edge is
+    taken once, in ``Graph.edges()`` order.
+    """
     u, i = np.nonzero(np.arange(len(target))[:, None] < target)
-    return tuple(counts[u, i][np.lexsort((target[u, i], u))].tolist())
+    per_edge = tuple(counts[u, i][np.lexsort((target[u, i], u))].tolist())
+    per_vertex = tuple(per_vertex.tolist())
+    return CollectionStats(
+        min(per_vertex), max(per_edge), per_vertex, per_edge, sum(per_vertex) // size
+    )
 
 
 def ear_counts(n: int, max_n: int | None = None) -> tuple[int, ...]:
@@ -290,46 +263,29 @@ def ear_counts(n: int, max_n: int | None = None) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# report builders
+# the censuses
 
 def pentagon_census(
-    n: int,
-    oracle: bool = False,
-    max_n: int | None = None,
-    *,
-    _flips: tuple[np.ndarray, ...] | None = None,
-) -> CensusReport:
+    n: int, max_n: int | None = None, *, _flips: tuple[np.ndarray, ...] | None = None
+) -> CollectionStats:
     """5-cycles through each vertex and each edge of the flip graph.
 
     Through the flip edge of ab: the diagonal sides of the quadrilateral
     apbq, d_p + d_q - 2.  Through a vertex: the sum of C(d, 2) over its
-    dual tree, which is half the sum of its edges' counts.  The oracle
-    counts the subgraph copies of C5 with the array copy search
-    ``bounds.collection_stats``, under the census cap CENSUS_LIMIT_DEFAULT.
-    ``_flips`` is ``_flip_pass(n)`` when the caller already holds it.
+    dual tree, which is half the sum of its edges' counts.  ``_flips`` is
+    ``_flip_pass(n)`` when the caller already holds it.
     """
     if n < 5:
         raise InvalidInputError("pentagon census needs n >= 5")
     _check_range(n, max_n)
     _, a, b, p, q, target = _flip_pass(n) if _flips is None else _flips
     edge = _degree(n, a, b, p) + _degree(n, a, b, q) - 2
-    per_vertex = tuple((edge.sum(axis=1) // 2).tolist())
-    o_vertex = o_edge = None
-    if oracle:
-        g = build_associahedron(n, max_n)
-        _check_census_size(g)
-        stats = collection_stats(g, cycle_graph(5), host_limit=CENSUS_LIMIT_DEFAULT)
-        o_vertex, o_edge = stats.per_vertex, stats.per_edge
-    return CensusReport(n, "pentagon", per_vertex, _edge_counts(target, edge), o_vertex, o_edge)
+    return _census_stats(edge.sum(axis=1) // 2, target, edge, 5)
 
 
 def hexagon_census(
-    n: int,
-    oracle: bool = False,
-    max_n: int | None = None,
-    *,
-    _flips: tuple[np.ndarray, ...] | None = None,
-) -> CensusReport:
+    n: int, max_n: int | None = None, *, _flips: tuple[np.ndarray, ...] | None = None
+) -> CollectionStats:
     """Hexagon-flip subgraphs through each vertex and each edge of the flip graph.
 
     Through a vertex: the 4-node subtrees of its dual tree, paths
@@ -346,7 +302,6 @@ def hexagon_census(
     masks, a, b, p, q, target = _flip_pass(n) if _flips is None else _flips
     dp, dq = _degree(n, a, b, p), _degree(n, a, b, q)
     stars = ((dp == 3).sum(axis=1) + (dq == 3).sum(axis=1)) // 3  # seen once per side
-    per_vertex = tuple((((dp - 1) * (dq - 1)).sum(axis=1) + stars).tolist())
     c = dp + dq - 2
     edge = c * (c - 1) // 2
     bit = (1 << np.arange(n)).astype(masks.dtype)
@@ -356,7 +311,4 @@ def hexagon_census(
         # a polygon side has none, and frexp(0) gives z = -1
         z = np.frexp((masks[r, x] & masks[r, y]) ^ bit[own])[1] - 1
         edge += _is_diagonal(n, x, y) * (_degree(n, x, y, z) - 1)
-    o_vertex = o_edge = None
-    if oracle:
-        o_vertex, o_edge = hexagon_census_oracle(n, max_n)
-    return CensusReport(n, "hexagon", per_vertex, _edge_counts(target, edge), o_vertex, o_edge)
+    return _census_stats(((dp - 1) * (dq - 1)).sum(axis=1) + stars, target, edge, 14)

@@ -86,11 +86,11 @@ def _claim_pentagon_census(pentagons: dict[int, bounds.CollectionStats]) -> Clai
         rep = census.pentagon_census(n)
         if rep.per_vertex != oracle.per_vertex:
             bad.append(f"n={n}: vertex formula != oracle")
-        if any(v < n - 4 for v in rep.per_vertex):
+        if rep.m < n - 4:
             bad.append(f"n={n}: vertex count below n-4")
         if rep.per_edge != oracle.per_edge:
             bad.append(f"n={n}: edge formula != oracle")
-        if rep.edge_min < 1 or rep.edge_max > 4:
+        if min(rep.per_edge) < 1 or rep.t > 4:
             bad.append(f"n={n}: edge count outside [1,4]")
         if any(c != n - 6 + t1 for c, t1 in zip(rep.per_vertex, census.ear_counts(n))):
             bad.append(f"n={n}: vertex count != n-6+t1")
@@ -105,14 +105,14 @@ def _claim_hexagon_census(n_max: int) -> ClaimResult:
         return ClaimResult("hexagon-census", True, "vacuous: needs n >= 6")
     bad = []
     for n in range(6, top + 1):
-        rep = census.hexagon_census(n, oracle=True)
-        if rep.per_vertex != rep.oracle_per_vertex:
+        rep, oracle = census.hexagon_census(n), census.hexagon_census_oracle(n)
+        if rep.per_vertex != oracle.per_vertex:
             bad.append(f"n={n}: vertex formula != oracle")
-        if any(v < n - 5 for v in rep.per_vertex):
+        if rep.m < n - 5:
             bad.append(f"n={n}: vertex count below n-5")
-        if rep.per_edge != rep.oracle_per_edge:
+        if rep.per_edge != oracle.per_edge:
             bad.append(f"n={n}: edge count != support oracle")
-        if rep.edge_min < 1 or rep.edge_max > 14:
+        if min(rep.per_edge) < 1 or rep.t > 14:
             bad.append(f"n={n}: edge count outside [1,14]")
     return ClaimResult(
         "hexagon-census", not bad, "; ".join(bad) if bad else f"exact for n=6..{top}"
@@ -142,7 +142,9 @@ def _claim_table_match(lam_min: dict[int, float], lam2: dict[int, float]) -> Cla
             if check_reference(kind, n, lam) is False:
                 bad.append(f"{kind} n={n}: {lam:.6f} vs {table[n]}")
     return ClaimResult(
-        "eigenvalue-tables", not bad, "; ".join(bad) if bad else "within 1e-3 of reference"
+        "eigenvalue-tables",
+        not bad,
+        "; ".join(bad) if bad else "every value rounds to its reference entry",
     )
 
 

@@ -132,11 +132,12 @@ def cmd_spectrum(args) -> int:
 def cmd_census(args) -> int:
     t1 = census.ear_counts(args.n, args.max_n)
     flips = _flip_pass(args.n)  # one flip pass serves both censuses
-    pent = census.pentagon_census(args.n, oracle=args.oracle, max_n=args.max_n, _flips=flips)
-    hexa = (
-        census.hexagon_census(args.n, args.oracle, args.max_n, _flips=flips)
-        if args.n >= 6 else None
-    )
+    pent = census.pentagon_census(args.n, args.max_n, _flips=flips)
+    if args.oracle:
+        pent_oracle = census.pentagon_census_oracle(args.n, args.max_n)
+    hexa = census.hexagon_census(args.n, args.max_n, _flips=flips) if args.n >= 6 else None
+    if args.oracle and hexa:
+        hexa_oracle = census.hexagon_census_oracle(args.n, args.max_n)
     if args.edges:
         u, v = zip(*build_associahedron(args.n, args.max_n).edges())
         columns = {"u": u, "v": v, "pentagon_count": pent.per_edge}
@@ -146,10 +147,10 @@ def cmd_census(args) -> int:
         hexa_name, per = "hexagon_total", "per_vertex"
     zeros = (0,) * len(getattr(pent, per))  # no hexagon below n = 6
     if args.oracle:
-        columns["pentagon_oracle"] = getattr(pent, "oracle_" + per)
+        columns["pentagon_oracle"] = getattr(pent_oracle, per)
     columns[hexa_name] = getattr(hexa, per) if hexa else zeros
     if args.oracle:
-        columns["hexagon_oracle"] = getattr(hexa, "oracle_" + per) if hexa else zeros
+        columns["hexagon_oracle"] = getattr(hexa_oracle, per) if hexa else zeros
     lines = [",".join(columns)] + [",".join(map(str, row)) for row in zip(*columns.values())]
     _emit(args, "".join(line + "\n" for line in lines))
     return EXIT_OK
@@ -249,11 +250,9 @@ def cmd_walk(args) -> int:
             }
         )
     else:
-        summary = walk.simulate_walk(
-            g, walk.WalkConfig(steps=args.steps, seed=args.seed, start=args.start)
-        )
+        summary = walk.simulate_walk(g, args.steps, args.seed, args.start)
         text = (
-            f"# n={args.n} steps={summary.steps} seed={summary.seed} "
+            f"# n={args.n} steps={args.steps} seed={args.seed} "
             f"start={summary.start} returns={summary.return_count}\n"
             "vertex,visits\n"
         ) + "".join(f"{v},{c}\n" for v, c in enumerate(summary.counts))
@@ -289,9 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, n_required=True):
-        if n_required:
-            p.add_argument("--n", type=int, required=True, help="polygon size")
+    def add_common(p):
+        p.add_argument("--n", type=int, required=True, help="polygon size")
         p.add_argument("--max-n", type=int, default=None, dest="max_n",
                        help="override the polygon size cap")
         p.add_argument("--out", default=None, help="output file (default stdout)")

@@ -9,10 +9,6 @@ class RangeError(InvalidInputError):
     """Numeric argument outside the supported range."""
 
 
-class NotPresentError(InvalidInputError):
-    """A referenced element is absent from its container."""
-
-
 class CapacityError(RuntimeError):
     """Instance exceeds a configured size limit."""
 

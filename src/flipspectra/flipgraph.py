@@ -57,9 +57,6 @@ class Graph:
     def neighbors_of(self, v: int) -> np.ndarray:
         return self.neighbors[self.offsets[v] : self.offsets[v + 1]]
 
-    def degree_of(self, v: int) -> int:
-        return int(self.offsets[v + 1] - self.offsets[v])
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
 

@@ -67,10 +67,6 @@ class Spectrum:
     eigenvalues: np.ndarray
 
     @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
     def lambda_2(self) -> float:
         if len(self.eigenvalues) < 2:
             raise InvalidInputError("second eigenvalue undefined on a single vertex")

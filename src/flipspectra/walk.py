@@ -20,44 +20,38 @@ from .triangulations import _check_range
 
 
 @dataclass(frozen=True)
-class WalkConfig:
-    steps: int
-    seed: int = 0
-    start: int | None = None  # None draws the start uniformly at random
-
-
-@dataclass(frozen=True)
 class WalkSummary:
-    steps: int
-    seed: int
     start: int
     counts: tuple[int, ...]  # visits per vertex, including the start state
     return_count: int        # visits to the start after step 0
 
 
-def simulate_walk(g: Graph, cfg: WalkConfig) -> WalkSummary:
-    """Run the uniform-neighbor walk; fully determined by the seed."""
-    if cfg.steps < 0:
+def simulate_walk(g: Graph, steps: int, seed: int = 0, start: int | None = None) -> WalkSummary:
+    """Run the uniform-neighbor walk; fully determined by the seed.
+
+    A start of None is drawn uniformly at random.
+    """
+    if steps < 0:
         raise InvalidInputError("steps must be nonnegative")
     if not is_connected(g):
         raise InvalidInputError("walk requires a connected graph")
     d = g.degree
     if d is None:
         raise InvalidInputError("walk requires a regular graph")
-    if d == 0 and cfg.steps > 0:
+    if d == 0 and steps > 0:
         raise InvalidInputError("cannot step on an edgeless graph")
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.start is None:
+    rng = np.random.default_rng(seed)
+    if start is None:
         start = int(rng.integers(g.vertex_count))
     else:
-        start = int(cfg.start)
+        start = int(start)
         if not 0 <= start < g.vertex_count:
             raise InvalidInputError(f"start {start} outside 0..{g.vertex_count - 1}")
     counts = np.zeros(g.vertex_count, dtype=np.int64)
     counts[start] += 1
     returns = 0
-    if cfg.steps > 0:
-        picks = rng.integers(0, d, size=cfg.steps)
+    if steps > 0:
+        picks = rng.integers(0, d, size=steps)
         offsets, nbrs = g.offsets, g.neighbors
         cur = start
         for p in picks:
@@ -65,7 +59,7 @@ def simulate_walk(g: Graph, cfg: WalkConfig) -> WalkSummary:
             counts[cur] += 1
             if cur == start:
                 returns += 1
-    return WalkSummary(cfg.steps, cfg.seed, start, tuple(int(c) for c in counts), returns)
+    return WalkSummary(start, tuple(int(c) for c in counts), returns)
 
 
 @dataclass(frozen=True)

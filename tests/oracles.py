@@ -14,13 +14,17 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from flipspectra.errors import InvalidInputError, NotPresentError
+from flipspectra.errors import InvalidInputError
 from flipspectra.triangulations import (
     Diagonal,
     enumerate_triangulations,
     normalize_diagonal,
     validate_diagonal,
 )
+
+
+class NotPresentError(InvalidInputError):
+    """A referenced element is absent from its container."""
 
 
 def crosses(d1: Iterable[int], d2: Iterable[int], n: int | None = None) -> bool:

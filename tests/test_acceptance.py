@@ -22,7 +22,12 @@ from flipspectra.bounds import (
     limit_bracket,
     odd_cycle_bound,
 )
-from flipspectra.census import hexagon_census, pentagon_census
+from flipspectra.census import (
+    hexagon_census,
+    hexagon_census_oracle,
+    pentagon_census,
+    pentagon_census_oracle,
+)
 from flipspectra.flipgraph import (
     box_product,
     build_associahedron,
@@ -171,13 +176,13 @@ def test_criterion_4_pentagon_census():
     t0 = time.perf_counter()
     ok = True
     for n in range(5, 10):
-        rep = pentagon_census(n, oracle=True)
+        rep, oracle = pentagon_census(n), pentagon_census_oracle(n)
         ts = enumerate_objects(n)
-        ok &= rep.per_vertex == rep.oracle_per_vertex
+        ok &= rep.per_vertex == oracle.per_vertex
         ok &= all(c == n - 6 + ear_count(t) for c, t in zip(rep.per_vertex, ts))
         ok &= all(c >= n - 4 for c in rep.per_vertex)
-        ok &= rep.per_edge == rep.oracle_per_edge
-        ok &= rep.edge_min >= 1 and rep.edge_max <= 4
+        ok &= rep.per_edge == oracle.per_edge
+        ok &= min(rep.per_edge) >= 1 and rep.t <= 4
     _report(4, "pentagon census n=5..9", ok, f"{time.perf_counter() - t0:.1f}s")
     assert ok
 
@@ -185,11 +190,11 @@ def test_criterion_4_pentagon_census():
 def test_criterion_5_hexagon_census():
     ok = True
     for n in range(6, 9):
-        rep = hexagon_census(n, oracle=True)
-        ok &= rep.per_vertex == rep.oracle_per_vertex
+        rep, oracle = hexagon_census(n), hexagon_census_oracle(n)
+        ok &= rep.per_vertex == oracle.per_vertex
         ok &= all(c >= n - 5 for c in rep.per_vertex)
-        ok &= rep.per_edge == rep.oracle_per_edge
-        ok &= rep.edge_min >= 1 and rep.edge_max <= 14
+        ok &= rep.per_edge == oracle.per_edge
+        ok &= min(rep.per_edge) >= 1 and rep.t <= 14
     _report(5, "hexagon census n=6..8", ok)
     assert ok
 
@@ -255,7 +260,8 @@ def test_criterion_9_limit_bracket(lambda_min_values):
     br = limit_bracket()
     endpoints = (
         round(br.lower, 4) == round(LIMIT_LOWER_CONSTANT, 4) == -0.9045
-        and round(br.empirical_upper, 4) == round(LIMIT_UPPER_CONSTANT, 4) == -0.6904
+        and round(min(LAMBDA_MIN_TABLE[n] / (n - 2) for n in range(4, 13)), 4)
+        == round(br.upper, 4) == round(LIMIT_UPPER_CONSTANT, 4) == -0.6904
     )
     ratios = {n: lambda_min_values[n] / (n - 3) for n in range(5, 13)}
     inside = all(

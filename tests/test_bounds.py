@@ -35,6 +35,7 @@ from flipspectra.flipgraph import (
     petersen_graph,
     random_regular_graph,
 )
+from flipspectra.reference import LAMBDA_MIN_TABLE
 from flipspectra.spectra import cycle_spectrum, dense_spectrum
 
 
@@ -357,7 +358,7 @@ def test_limit_bracket():
     br = limit_bracket()
     assert abs(br.lower - (-(5 + math.sqrt(5)) / 8)) < 1e-12
     assert br.upper == -0.6904
-    assert abs(br.empirical_upper - (-0.6904)) < 1e-12
+    assert abs(min(LAMBDA_MIN_TABLE[n] / (n - 2) for n in range(4, 13)) - br.upper) < 1e-12
     assert set(br.ratios) == set(range(5, 13))
     for ratio in br.ratios.values():
         assert br.contains(ratio)

@@ -1,17 +1,20 @@
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from flipspectra import bounds, census, cli
+from flipspectra.bounds import CollectionStats, assoc_lower_bound, collection_bound
 from flipspectra.census import (
+    _hexagon_faces,
     count_pentagons_total,
     ear_counts,
     hexagon_census,
     hexagon_census_oracle,
     hexagon_count_vertex_oracle,
-    hexagon_supports,
     pentagon_census,
+    pentagon_census_oracle,
     pentagon_count_edge_oracle,
     pentagon_count_vertex_oracle,
 )
@@ -23,7 +26,8 @@ from flipspectra.flipgraph import (
     cycle_graph,
     petersen_graph,
 )
-from flipspectra.triangulations import polygon_regions
+from flipspectra.spectra import cycle_spectrum
+from flipspectra.triangulations import _diagonal_ids, polygon_regions
 from oracles import (
     Triangulation,
     crosses,
@@ -52,13 +56,22 @@ def oracle_hexagon_supports(n: int) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
-def oracle_hexagon_census(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def face_supports(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """The supports of ``census._hexagon_faces`` as ascending 1-based diagonal tuples, sorted."""
+    ends, _ = _diagonal_ids(n)
+    # ids follow the diagonals' lexicographic order, so sorted ids give sorted sets
+    held = np.sort(_hexagon_faces(n)[1], axis=1)
+    return sorted(tuple(map(tuple, support)) for support in (ends[held] + 1).tolist())
+
+
+def oracle_hexagon_census(n: int) -> CollectionStats:
     """The support census through Python sets: each support's vertices and their edges."""
     g = build_associahedron(n)
     diagonals = [set(t.diagonals) for t in enumerate_objects(n)]
+    supports = oracle_hexagon_supports(n)
     per_vertex = [0] * g.vertex_count
     per_edge = {}
-    for support in hexagon_supports(n):
+    for support in supports:
         keep = [i for i, ds in enumerate(diagonals) if ds.issuperset(support)]
         kset = set(keep)
         for i in keep:
@@ -67,7 +80,8 @@ def oracle_hexagon_census(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 j = int(j)
                 if j > i and j in kset:
                     per_edge[(i, j)] = per_edge.get((i, j), 0) + 1
-    return tuple(per_vertex), tuple(per_edge.get(e, 0) for e in g.edges())
+    edges = tuple(per_edge.get(e, 0) for e in g.edges())
+    return CollectionStats(min(per_vertex), max(edges), tuple(per_vertex), edges, len(supports))
 
 
 def _index(t: Triangulation) -> int:
@@ -159,7 +173,23 @@ def test_pentagon_aggregation_identity(n):
     # every 5-cycle is counted once per each of its 5 vertices
     g = build_associahedron(n)
     total = count_pentagons_total(g)
-    assert sum(pentagon_census(n).per_vertex) == 5 * total
+    rep = pentagon_census(n)
+    assert sum(rep.per_vertex) == 5 * total
+    assert rep.copy_count == total
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_pentagon_census_equals_its_oracle(n):
+    assert pentagon_census(n) == pentagon_census_oracle(n)
+
+
+@pytest.mark.parametrize("n", range(8, 14))
+def test_pentagon_census_is_the_papers_collection(n):
+    # to n = 13, past the copy search's n <= 11: m = n - 4 and t = 4
+    rep = pentagon_census(n)
+    assert (rep.m, rep.t) == (n - 4, 4)
+    bound = collection_bound(n - 3, 2, cycle_spectrum(5).lambda_min, rep)
+    assert abs(bound - assoc_lower_bound(n)) <= 1e-12
 
 
 def test_hexagon_vertex_formula_examples():
@@ -210,12 +240,10 @@ def test_hexagon_edge_single_class_n6():
 
 @pytest.mark.parametrize("n", range(6, 12))
 def test_hexagon_edge_matches_support_oracle(n):
-    rep = hexagon_census(n)
-    per_vertex, per_edge = hexagon_census_oracle(n)
-    assert len(per_edge) == build_associahedron(n).edge_count
-    assert rep.per_edge == per_edge
-    assert all(1 <= c <= 14 for c in per_edge)
-    assert rep.per_vertex == per_vertex
+    oracle = hexagon_census_oracle(n)
+    assert len(oracle.per_edge) == build_associahedron(n).edge_count
+    assert all(1 <= c <= 14 for c in oracle.per_edge)
+    assert hexagon_census(n) == oracle
 
 
 @pytest.mark.parametrize("n", range(6, 10))
@@ -224,24 +252,26 @@ def test_hexagon_support_oracle_matches_set_search(n):
 
 
 def test_hexagon_supports_counts():
-    assert hexagon_supports(6) == [()]
+    assert face_supports(6) == [()]
     # heptagon: one support per ear-cutting diagonal
-    assert len(hexagon_supports(7)) == 7
+    assert len(face_supports(7)) == 7
 
 
 @pytest.mark.parametrize("n", range(6, 11))
 def test_hexagon_supports_match_filter_oracle(n):
-    assert hexagon_supports(n) == oracle_hexagon_supports(n)
+    assert face_supports(n) == oracle_hexagon_supports(n)
 
 
 def test_census_reports():
-    rep = pentagon_census(6, oracle=True)
-    assert rep.per_vertex == rep.oracle_per_vertex
-    assert rep.per_edge == rep.oracle_per_edge
-    assert rep.vertex_min == 2 and rep.vertex_max == 3
-    hexa = hexagon_census(6, oracle=True)
+    rep = pentagon_census(6)
+    assert rep == pentagon_census_oracle(6)
+    assert rep.m == 2 and max(rep.per_vertex) == 3
+    assert rep.copy_count == 6  # the six pentagonal faces of the 3-dimensional associahedron
+    hexa = hexagon_census(6)
+    assert hexa == hexagon_census_oracle(6)
     assert hexa.per_vertex == (1,) * 14
-    assert hexa.edge_min == hexa.edge_max == 1
+    assert min(hexa.per_edge) == hexa.t == 1
+    assert hexa.copy_count == 1
 
 
 def test_oracle_capacity(monkeypatch):
@@ -254,11 +284,11 @@ def test_oracle_capacity(monkeypatch):
 @pytest.mark.parametrize("n", range(5, 9))
 def test_pentagon_census_oracle_matches_path_search(n):
     g = build_associahedron(n)
-    rep = pentagon_census(n, oracle=True)
-    assert rep.oracle_per_vertex == tuple(
+    oracle = pentagon_census_oracle(n)
+    assert oracle.per_vertex == tuple(
         pentagon_count_vertex_oracle(g, v) for v in range(g.vertex_count)
     )
-    assert rep.oracle_per_edge == tuple(pentagon_count_edge_oracle(g, u, v) for u, v in g.edges())
+    assert oracle.per_edge == tuple(pentagon_count_edge_oracle(g, u, v) for u, v in g.edges())
 
 
 def test_pentagon_census_oracle_uses_no_path_search(monkeypatch):
@@ -270,23 +300,20 @@ def test_pentagon_census_oracle_uses_no_path_search(monkeypatch):
     monkeypatch.setattr(census, "pentagon_count_vertex_oracle", spy("vertex"))
     monkeypatch.setattr(census, "pentagon_count_edge_oracle", spy("edge"))
     monkeypatch.setattr(Graph, "adjacency_sets", spy("adjacency_sets"))
-    rep = pentagon_census(9, oracle=True)
+    oracle = pentagon_census_oracle(9)
     assert calls == []
-    assert rep.oracle_per_vertex == rep.per_vertex
-    assert rep.oracle_per_edge == rep.per_edge
+    assert oracle == pentagon_census(9)
 
 
 def test_pentagon_census_oracle_keeps_the_census_cap(monkeypatch):
     # A7 has 42 vertices
     monkeypatch.setattr(census, "CENSUS_LIMIT_DEFAULT", 41)
     with pytest.raises(CapacityError, match="census oracle limited to 41 vertices"):
-        pentagon_census(7, oracle=True)
+        pentagon_census_oracle(7)
     # the census cap, not the collection search's own default, bounds the host
     monkeypatch.setattr(bounds, "COLLECTION_HOST_LIMIT", 10)
     monkeypatch.setattr(census, "CENSUS_LIMIT_DEFAULT", 42)
-    rep = pentagon_census(7, oracle=True)
-    assert rep.oracle_per_vertex == rep.per_vertex
-    assert pentagon_census(7, oracle=True).oracle_per_edge == rep.per_edge
+    assert pentagon_census_oracle(7) == pentagon_census(7)
 
 
 def test_hexagon_support_oracle_needs_a_hexagon():

@@ -13,7 +13,6 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize(
     "argv, last_line",
     [
-        (["reproduce_tables.py", "--n-max", "8"], "all rows match the reference tables"),
         (
             ["residue_upper_constants.py", "--n-max", "40"],
             "sample bounds: {13: -7.157, 22: -13.808, 47: -30.793, 100: -67.546}",

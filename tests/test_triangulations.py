@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flipspectra.errors import InvalidInputError, NotPresentError, RangeError
+from flipspectra.errors import InvalidInputError, RangeError
 from flipspectra.triangulations import (
     catalan,
     enumerate_triangulations,
@@ -14,6 +14,7 @@ from flipspectra.triangulations import (
 )
 from flipspectra.triangulations import _diagonal_ids, _id_rows
 from oracles import (
+    NotPresentError,
     Triangulation,
     crosses,
     dual_tree,

@@ -7,7 +7,6 @@ from flipspectra.errors import InvalidInputError, RangeError
 from flipspectra.flipgraph import build_associahedron, cycle_graph, from_edges, path_graph
 from flipspectra.spectra import lambda_2
 from flipspectra.walk import (
-    WalkConfig,
     aldous_test_function,
     dirichlet_quotient,
     gap_scan,
@@ -18,35 +17,35 @@ from oracles import Triangulation, dual_tree, enumerate_objects, fan_triangulati
 
 def test_walk_zero_steps_stays_put():
     g = cycle_graph(5)
-    s = simulate_walk(g, WalkConfig(steps=0, seed=1, start=2))
+    s = simulate_walk(g, 0, seed=1, start=2)
     assert s.counts == (0, 0, 1, 0, 0)
     assert s.return_count == 0
 
 
 def test_walk_counts_sum():
     g = cycle_graph(5)
-    s = simulate_walk(g, WalkConfig(steps=999, seed=4))
+    s = simulate_walk(g, 999, seed=4)
     assert sum(s.counts) == 1000
 
 
 def test_walk_is_bit_reproducible():
     g = build_associahedron(6)
-    a = simulate_walk(g, WalkConfig(steps=10_000, seed=7))
-    b = simulate_walk(g, WalkConfig(steps=10_000, seed=7))
+    a = simulate_walk(g, 10_000, seed=7)
+    b = simulate_walk(g, 10_000, seed=7)
     assert a == b
 
 
 def test_walk_converges_to_uniform_on_c5():
-    s = simulate_walk(cycle_graph(5), WalkConfig(steps=100_000, seed=0, start=0))
-    emp = np.asarray(s.counts) / (s.steps + 1)
+    s = simulate_walk(cycle_graph(5), 100_000, seed=0, start=0)
+    emp = np.asarray(s.counts) / (100_000 + 1)
     tv = 0.5 * float(np.abs(emp - 0.2).sum())
     assert tv < 0.05
 
 
 def test_walk_frequencies_on_a6():
     g = build_associahedron(6)
-    s = simulate_walk(g, WalkConfig(steps=1_000_000, seed=0, start=0))
-    total = s.steps + 1
+    s = simulate_walk(g, 1_000_000, seed=0, start=0)
+    total = 1_000_000 + 1
     p = 1.0 / 14.0
     sigma = math.sqrt(total * p * (1 - p))
     deviations = np.abs(np.asarray(s.counts) - total * p)
@@ -56,11 +55,11 @@ def test_walk_frequencies_on_a6():
 def test_walk_input_validation():
     disconnected = from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(InvalidInputError):
-        simulate_walk(disconnected, WalkConfig(steps=10, seed=0))
+        simulate_walk(disconnected, 10, seed=0)
     with pytest.raises(InvalidInputError):
-        simulate_walk(path_graph(3), WalkConfig(steps=10, seed=0))  # not regular
+        simulate_walk(path_graph(3), 10, seed=0)  # not regular
     with pytest.raises(InvalidInputError):
-        simulate_walk(cycle_graph(5), WalkConfig(steps=10, seed=0, start=9))
+        simulate_walk(cycle_graph(5), 10, seed=0, start=9)
 
 
 def test_dirichlet_indicator_on_c5():
