@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable
 
 import numpy as np
@@ -74,6 +74,14 @@ class BoundReport:
     exact_value: float | None
     satisfied: bool | None
     parameters: dict = field(default_factory=dict)
+
+
+def bound_report(name, bound, exact=None, upper=False, satisfied=None, **parameters) -> BoundReport:
+    """Build every BoundReport; with ``exact`` given, ``satisfied`` is judged by holds."""
+    # a lower bound holds below the exact value, an upper one above it
+    if exact is not None:
+        satisfied = holds(exact, bound) if upper else holds(bound, exact)
+    return BoundReport(name, bound, exact, satisfied, parameters)
 
 
 def _pattern_order(adj: list[set[int]]) -> list[int]:
@@ -377,14 +385,18 @@ def chromatic_lower_bound(n: int, lam_min: float) -> float:
     return 1.0 + (n - 3) / abs(lam_min)
 
 
+def _require_eps(eps: float) -> None:
+    if not 0.0 < eps < 1.0:  # also rejects NaN
+        raise InvalidInputError("eps must lie in (0, 1)")
+
+
 def mixing_bounds(n: int, lam2: float, eps: float) -> tuple[float, float]:
     """Mixing-time sandwich for the flip-graph walk (natural logarithm).
 
     upper = (n-3)/(n-3-lam2) * log(catalan(n-2)/eps),
     lower = lam2 / (2 (n-3-lam2)).
     """
-    if not 0.0 < eps < 1.0:
-        raise InvalidInputError("eps must lie in (0, 1)")
+    _require_eps(eps)
     d = n - 3
     if lam2 >= d:
         raise InvalidInputError("lam2 must be below the degree n-3 (positive gap)")
@@ -453,19 +465,9 @@ def certify_collection_bound(
         if exact_lambda_min is not None
         else dense_spectrum(g).lambda_min
     )
-    return BoundReport(
-        bound_name=name,
-        bound_value=bound,
-        exact_value=exact,
-        satisfied=holds(bound, exact),
-        parameters={
-            "d": d,
-            "k": k,
-            "lambda_min_pattern": lam_k,
-            "m": stats.m,
-            "t": stats.t,
-            "copies": stats.copy_count,
-        },
+    return bound_report(
+        name, bound, exact,
+        d=d, k=k, lambda_min_pattern=lam_k, m=stats.m, t=stats.t, copies=stats.copy_count,
     )
 
 
@@ -482,12 +484,8 @@ def flipgraph_bound_reports(
     """
     if n < 5:
         raise InvalidInputError("bound reports need n >= 5")
-
-    def report(name, bound, exact=None, upper=False, satisfied=None, **parameters):
-        # a lower bound holds below the exact value, an upper one above it
-        if exact is not None:
-            satisfied = holds(exact, bound) if upper else holds(bound, exact)
-        return BoundReport(name, bound, exact, satisfied, {"n": n, **parameters})
+    _require_eps(eps)
+    report = partial(bound_report, n=n)
 
     reports = [
         report("pentagon-collection-lower", assoc_lower_bound(n), lam_min),

@@ -1,6 +1,7 @@
 """Cross-module claim suite behind the CLI's --certify flag.
 
-Each claim callable returns a ClaimResult; the driver collects them into a
+Each claim callable lists its failures and returns them through ``_claim``,
+where every ClaimResult is built; run_certification collects them into a
 machine-readable report.  Scope scales with n_max so small runs stay fast:
 census claims cap at n = 9 (pentagons) and n = 8 (hexagons), slice
 isomorphism at n = 10 regardless of n_max.  The 5-cycles of each flip
@@ -41,11 +42,9 @@ class ClaimResult:
     detail: str
 
 
-def _lambda_min_values(n_max: int, seed: int = 0) -> dict[int, float]:
-    return {
-        n: spectra.lambda_min(build_associahedron(n), seed=seed).value
-        for n in range(4, n_max + 1)
-    }
+def _claim(name: str, bad: list[str], success: str) -> ClaimResult:
+    """The claim passes when nothing is bad; its detail lists the failures, else ``success``."""
+    return ClaimResult(name, not bad, "; ".join(bad) if bad else success)
 
 
 def _claim_structure(n_max: int) -> ClaimResult:
@@ -67,7 +66,7 @@ def _claim_structure(n_max: int) -> ClaimResult:
         scope = f"regular, connected, triangle-free up to n={top}"
     else:
         scope = f"regular, connected up to n={top}; triangle-free up to n=10"
-    return ClaimResult("flip-graph-structure", not bad, "; ".join(bad) if bad else scope)
+    return _claim("flip-graph-structure", bad, scope)
 
 
 def _pentagon_stats(n_max: int) -> dict[int, bounds.CollectionStats]:
@@ -80,7 +79,7 @@ def _pentagon_stats(n_max: int) -> dict[int, bounds.CollectionStats]:
 
 def _claim_pentagon_census(pentagons: dict[int, bounds.CollectionStats]) -> ClaimResult:
     if not pentagons:
-        return ClaimResult("pentagon-census", True, "vacuous: no 5-cycles below n=5")
+        return _claim("pentagon-census", [], "vacuous: no 5-cycles below n=5")
     bad = []
     for n, oracle in pentagons.items():
         rep = census.pentagon_census(n)
@@ -94,15 +93,13 @@ def _claim_pentagon_census(pentagons: dict[int, bounds.CollectionStats]) -> Clai
             bad.append(f"n={n}: edge count outside [1,4]")
         if any(c != n - 6 + t1 for c, t1 in zip(rep.per_vertex, census.ear_counts(n))):
             bad.append(f"n={n}: vertex count != n-6+t1")
-    return ClaimResult(
-        "pentagon-census", not bad, "; ".join(bad) if bad else f"exact for n=5..{max(pentagons)}"
-    )
+    return _claim("pentagon-census", bad, f"exact for n=5..{max(pentagons)}")
 
 
 def _claim_hexagon_census(n_max: int) -> ClaimResult:
     top = min(n_max, 8)
     if top < 6:
-        return ClaimResult("hexagon-census", True, "vacuous: needs n >= 6")
+        return _claim("hexagon-census", [], "vacuous: needs n >= 6")
     bad = []
     for n in range(6, top + 1):
         rep, oracle = census.hexagon_census(n), census.hexagon_census_oracle(n)
@@ -114,9 +111,7 @@ def _claim_hexagon_census(n_max: int) -> ClaimResult:
             bad.append(f"n={n}: edge count != support oracle")
         if min(rep.per_edge) < 1 or rep.t > 14:
             bad.append(f"n={n}: edge count outside [1,14]")
-    return ClaimResult(
-        "hexagon-census", not bad, "; ".join(bad) if bad else f"exact for n=6..{top}"
-    )
+    return _claim("hexagon-census", bad, f"exact for n=6..{top}")
 
 
 def _claim_lower_bound(lam_min: dict[int, float]) -> ClaimResult:
@@ -126,11 +121,7 @@ def _claim_lower_bound(lam_min: dict[int, float]) -> ClaimResult:
             continue
         if not bounds.holds(bounds.assoc_lower_bound(n), lam):
             bad.append(f"n={n}")
-    return ClaimResult(
-        "pentagon-lower-bound",
-        not bad,
-        "; ".join(bad) if bad else "closed form below exact lambda_min everywhere",
-    )
+    return _claim("pentagon-lower-bound", bad, "closed form below exact lambda_min everywhere")
 
 
 def _claim_table_match(lam_min: dict[int, float], lam2: dict[int, float]) -> ClaimResult:
@@ -141,11 +132,7 @@ def _claim_table_match(lam_min: dict[int, float], lam2: dict[int, float]) -> Cla
         for n, lam in values.items():
             if check_reference(kind, n, lam) is False:
                 bad.append(f"{kind} n={n}: {lam:.6f} vs {table[n]}")
-    return ClaimResult(
-        "eigenvalue-tables",
-        not bad,
-        "; ".join(bad) if bad else "every value rounds to its reference entry",
-    )
+    return _claim("eigenvalue-tables", bad, "every value rounds to its reference entry")
 
 
 def _claim_subadditivity(lam_min: dict[int, float]) -> ClaimResult:
@@ -157,9 +144,7 @@ def _claim_subadditivity(lam_min: dict[int, float]) -> ClaimResult:
         for l in range(k, n_max - k + 3):
             if not bounds.holds(lam_min[k + l - 2], lam_min[k] + lam_min[l]):
                 bad.append(f"k={k},l={l}")
-    return ClaimResult(
-        "slice-subadditivity", not bad, "; ".join(bad) if bad else "holds for all splits"
-    )
+    return _claim("slice-subadditivity", bad, "holds for all splits")
 
 
 def _claim_slice_isomorphism(n_max: int) -> ClaimResult:
@@ -173,10 +158,8 @@ def _claim_slice_isomorphism(n_max: int) -> ClaimResult:
                 bad.append(f"n={n},k={k}: vertex count")
             if not is_isomorphic(slc, prod, slice_product_map(n, k)):
                 bad.append(f"n={n},k={k}: not isomorphic")
-    return ClaimResult(
-        "diagonal-slice-isomorphism",
-        not bad,
-        "; ".join(bad) if bad else f"slice(n,(1,k)) matches the box product up to n={top}",
+    return _claim(
+        "diagonal-slice-isomorphism", bad, f"slice(n,(1,k)) matches the box product up to n={top}"
     )
 
 
@@ -201,10 +184,9 @@ def _claim_collection_bounds(
         )
         if not rep.satisfied:
             bad.append(label)
-    return ClaimResult(
-        "collection-bound-certification",
-        not bad,
-        "; ".join(bad) if bad else f"bound <= exact lambda_min on {len(suite)} instances",
+    return _claim(
+        "collection-bound-certification", bad,
+        f"bound <= exact lambda_min on {len(suite)} instances",
     )
 
 
@@ -217,9 +199,7 @@ def _claim_limit_bracket(lam_min: dict[int, float]) -> ClaimResult:
         ratio = lam / (n - 3)
         if not br.contains(ratio):
             bad.append(f"n={n}: ratio {ratio:.4f}")
-    return ClaimResult(
-        "limit-ratio-bracket", not bad, "; ".join(bad) if bad else "all ratios inside bracket"
-    )
+    return _claim("limit-ratio-bracket", bad, "all ratios inside bracket")
 
 
 def run_certification(n_max: int, seed: int = 0) -> list[ClaimResult]:
@@ -233,7 +213,10 @@ def run_certification(n_max: int, seed: int = 0) -> list[ClaimResult]:
         _claim_hexagon_census(n_max),
         _claim_slice_isomorphism(n_max),
     ]
-    lam_min = _lambda_min_values(min(n_max, 12), seed=seed)
+    lam_min = {
+        n: spectra.lambda_min(build_associahedron(n), seed=seed).value
+        for n in range(4, min(n_max, 12) + 1)
+    }
     lam2 = {
         n: spectra.lambda_2(build_associahedron(n), seed=seed).value
         for n in range(5, min(n_max, 12) + 1)

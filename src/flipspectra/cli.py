@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import sys
 import time
 
@@ -82,8 +83,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    if not args.tol > 0:  # also rejects NaN
-        raise InvalidInputError(f"--tol must be positive, got {args.tol}")
+    if not 0 < args.tol < math.inf:  # also rejects NaN
+        raise InvalidInputError(f"--tol must be finite and positive, got {args.tol}")
     if args.max_iterations < 1:
         raise InvalidInputError(
             f"--max-iterations must be at least 1, got {args.max_iterations}"
@@ -181,18 +182,17 @@ def cmd_bounds(args) -> int:
             args.copies, "--copies", lambda line: [int(x) for x in line.split(",")]
         )
         stats = bounds.collection_stats_from_copies(g, pattern, copies)
-        exact = spectra.lambda_min(g, seed=args.seed).value if args.certify else None
-        report = bounds.certify_collection_bound(
-            g, pattern, exact_lambda_min=exact, name="user-collection-bound", stats=stats
-        ) if args.certify else bounds.BoundReport(
-            "user-collection-bound",
-            bounds.collection_bound(
-                g.degree, pattern.degree, spectra.dense_spectrum(pattern).lambda_min, stats
-            ),
-            None,
-            None,
-            {"m": stats.m, "t": stats.t, "copies": stats.copy_count},
-        )
+        if args.certify:
+            report = bounds.certify_collection_bound(
+                g, pattern, exact_lambda_min=spectra.lambda_min(g, seed=args.seed).value,
+                name="user-collection-bound", stats=stats,
+            )
+        else:
+            lam_k = spectra.dense_spectrum(pattern).lambda_min
+            bound = bounds.collection_bound(g.degree, pattern.degree, lam_k, stats)
+            report = bounds.bound_report(
+                "user-collection-bound", bound, m=stats.m, t=stats.t, copies=stats.copy_count
+            )
         _emit(args, _json([dataclasses.asdict(report)]))
         return EXIT_CLAIM if report.satisfied is False else EXIT_OK
     if args.certify and args.n is None:

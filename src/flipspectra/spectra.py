@@ -19,10 +19,10 @@ one spectrum, so the blocks j = 0..n//2 are solved densely with
 ``scipy.linalg``; the eigenvector comes from the winning block alone and
 is lifted to the whole graph.
 
-No answer is trusted: on the iterative and sector paths the reported
-value is the Rayleigh quotient of a real unit vector on the full A and
-the residual ||A x - value x|| is computed from A.  A residual above
-``tol`` raises ConvergenceError.
+No answer is trusted: every path yields a real vector x, and the
+reported value is its Rayleigh quotient on the full A, for unit x, with
+the residual ||A x - value x|| computed from A.  A residual above ``tol``
+raises ConvergenceError, on the dense path too.
 
 ``auto`` picks, in this order: the dense solver up to AUTO_DENSE_LIMIT
 vertices, where a full ``eigh`` beats ARPACK, and for irregular graphs,
@@ -99,8 +99,10 @@ def dense_spectrum(g: Graph) -> Spectrum:
     return Spectrum(vals[::-1].copy())
 
 
-def _iterative(g: Graph, second: bool, tol: float, seed: int, max_iterations: int) -> SpectralResult:
-    """lambda_min, or lambda_2 if ``second``, of a regular graph by ARPACK."""
+def _iterative(
+    g: Graph, second: bool, tol: float, seed: int, max_iterations: int
+) -> tuple[np.ndarray, int]:
+    """(x, operator applications): ARPACK's vector for lambda_min, or lambda_2 if ``second``."""
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     d = g.degree
@@ -119,14 +121,8 @@ def _iterative(g: Graph, second: bool, tol: float, seed: int, max_iterations: in
         y = matvec(g, x, a)
         return y - shift * x.mean() if second else y
 
-    def checked(x) -> SpectralResult:
-        if second:
-            x = x - x.mean()
-        x = x / np.linalg.norm(x)
-        ax = matvec(g, x, a)
-        value = float(x @ ax)
-        residual = float(np.linalg.norm(ax - value * x))
-        return SpectralResult(value, residual, "iterative", applied, tol)
+    def deflated(x):
+        return x - x.mean() if second else x
 
     ncv = min(n, 20)  # eigsh's own default for one eigenvalue
     try:
@@ -141,27 +137,13 @@ def _iterative(g: Graph, second: bool, tol: float, seed: int, max_iterations: in
             tol=tol / max(d, 1),
         )
     except ArpackNoConvergence:
-        best = checked(last)
+        best = _rayleigh(g, deflated(last), "iterative", applied, tol)
         raise ConvergenceError(
             f"no convergence to {tol:g} within {max_iterations} iterations "
             f"(best residual {best.residual:.3e})",
             best=best,
         ) from None
-    result = checked(vecs[:, 0])
-    if result.residual > tol:
-        raise ConvergenceError(
-            f"ARPACK stopped with residual {result.residual:.3e} above {tol:g}", best=result
-        )
-    return result
-
-
-def _dense_extreme(g: Graph, index: int, tol: float) -> SpectralResult:
-    a = g.dense_adjacency()
-    vals, vecs = scipy.linalg.eigh(a, subset_by_index=[index, index])
-    value = float(vals[0])
-    x = vecs[:, 0]
-    residual = float(np.linalg.norm(a @ x - value * x))
-    return SpectralResult(value, residual, "dense", 0, tol)
+    return deflated(vecs[:, 0]), applied
 
 
 def _block(g: Graph, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,8 +184,8 @@ def _sector_eigenvalues(n: int) -> tuple[np.ndarray, ...]:
     return blocks
 
 
-def _sectors(g: Graph, second: bool, tol: float) -> SpectralResult:
-    """lambda_min, or lambda_2 if ``second``, of a flip graph from its rotation blocks."""
+def _sectors(g: Graph, second: bool) -> np.ndarray:
+    """lambda_min's vector, or lambda_2's if ``second``, from a flip graph's rotation blocks."""
     n = g.polygon
     picks = []  # (eigenvalue, j, its index in block j)
     for j, vals in enumerate(_sector_eigenvalues(n)):
@@ -223,15 +205,7 @@ def _sectors(g: Graph, second: bool, tol: float) -> SpectralResult:
     x = np.zeros(g.vertex_count)
     phase = np.exp(2j * np.pi * j / n * shift[inside])
     x[inside] = (vec[at[inside]] * phase).real / np.sqrt(size[inside])
-    x = x / np.linalg.norm(x)
-    ax = x[g.neighbors].reshape(g.vertex_count, g.degree).sum(axis=1)
-    value = float(x @ ax)
-    result = SpectralResult(value, float(np.linalg.norm(ax - value * x)), "sectors", 0, tol)
-    if result.residual > tol:
-        raise ConvergenceError(
-            f"sector solve left residual {result.residual:.3e} above {tol:g}", best=result
-        )
-    return result
+    return x
 
 
 def _choose_method(g: Graph, method: str) -> str:
@@ -261,6 +235,36 @@ def _choose_method(g: Graph, method: str) -> str:
     return "dense" if g.vertex_count == 1 else method
 
 
+def _rayleigh(g: Graph, x: np.ndarray, method: str, iterations: int, tol: float) -> SpectralResult:
+    """The answer a real vector gives: its Rayleigh quotient and residual on the full A."""
+    x = x / np.linalg.norm(x)
+    u, v = g.arcs()
+    ax = np.bincount(u, x[v], minlength=g.vertex_count)
+    value = float(x @ ax)
+    return SpectralResult(value, float(np.linalg.norm(ax - value * x)), method, iterations, tol)
+
+
+def _solve(
+    g: Graph, second: bool, tol: float, method: str, seed: int, max_iterations: int
+) -> SpectralResult:
+    """lambda_min, or lambda_2 if ``second``, from the chosen path's vector, accepted within tol."""
+    chosen = _choose_method(g, method)
+    applied = 0
+    if chosen == "dense":
+        index = g.vertex_count - 2 if second else 0
+        x = scipy.linalg.eigh(g.dense_adjacency(), subset_by_index=[index, index])[1][:, 0]
+    elif chosen == "sectors":
+        x = _sectors(g, second)
+    else:
+        x, applied = _iterative(g, second, tol, seed, max_iterations)
+    result = _rayleigh(g, x, chosen, applied, tol)
+    if result.residual > tol:
+        raise ConvergenceError(
+            f"{chosen} solve left residual {result.residual:.3e} above {tol:g}", best=result
+        )
+    return result
+
+
 def lambda_min(
     g: Graph,
     tol: float = 1e-9,
@@ -275,12 +279,7 @@ def lambda_min(
     """
     if g.vertex_count == 0:
         raise InvalidInputError("empty graph")
-    chosen = _choose_method(g, method)
-    if chosen == "dense":
-        return _dense_extreme(g, 0, tol)
-    if chosen == "sectors":
-        return _sectors(g, False, tol)
-    return _iterative(g, False, tol, seed, max_iterations)
+    return _solve(g, False, tol, method, seed, max_iterations)
 
 
 def lambda_2(
@@ -299,12 +298,7 @@ def lambda_2(
         raise InvalidInputError("second eigenvalue undefined on fewer than 2 vertices")
     if not is_connected(g):
         raise InvalidInputError("graph must be connected")
-    chosen = _choose_method(g, method)
-    if chosen == "dense":
-        return _dense_extreme(g, g.vertex_count - 2, tol)
-    if chosen == "sectors":
-        return _sectors(g, True, tol)
-    return _iterative(g, True, tol, seed, max_iterations)
+    return _solve(g, True, tol, method, seed, max_iterations)
 
 
 def cycle_spectrum(m: int) -> Spectrum:

@@ -29,20 +29,11 @@ MAX_N_DEFAULT = 14
 MAX_N_ENV = "FLIPSPECTRA_MAX_N"
 
 
-def max_polygon(override: int | None = None) -> int:
-    """Largest polygon size enumeration will accept.
-
-    Resolution order: explicit override, the FLIPSPECTRA_MAX_N environment
-    variable, then the built-in default of 14 (208012 triangulations).
-    """
-    if override is not None:
-        return int(override)
-    env = os.environ.get(MAX_N_ENV)
-    return int(env) if env else MAX_N_DEFAULT
-
-
 def _check_range(n: int, max_n: int | None) -> None:
-    limit = max_polygon(max_n)
+    """Reject n outside 3..limit: max_n if given, else $FLIPSPECTRA_MAX_N, else 14."""
+    if max_n is None:
+        max_n = os.environ.get(MAX_N_ENV) or MAX_N_DEFAULT
+    limit = int(max_n)
     if n < 3 or n > limit:
         raise RangeError(f"n={n} outside the supported range 3..{limit}")
 

@@ -88,6 +88,8 @@ def dirichlet_quotient(g: Graph, f: np.ndarray) -> TestFunctionReport:
     d = g.degree
     if d is None or d == 0:
         raise InvalidInputError("requires a regular graph with positive degree")
+    if not np.isfinite(f).all():
+        raise InvalidInputError("test function values must be finite")
     if bool(np.all(f == f[0])):
         raise InvalidInputError("test function must be non-constant")
     src, dst = g.arcs()

@@ -222,9 +222,7 @@ def test_criterion_6_collection_bound_certification(lambda_min_values):
 
 
 def test_criterion_7_bound_sandwich_and_identity(lambda_min_values):
-    sandwich = all(
-        assoc_lower_bound(n) <= lambda_min_values[n] + 1e-9 for n in range(5, 13)
-    )
+    sandwich = all(holds(assoc_lower_bound(n), lambda_min_values[n]) for n in range(5, 13))
     identity = all(
         abs(assoc_lower_bound(n) - odd_cycle_bound(n - 3, 2, n - 4, 4)) <= 1e-12
         for n in range(5, 51)
@@ -264,10 +262,7 @@ def test_criterion_9_limit_bracket(lambda_min_values):
         == round(br.upper, 4) == round(LIMIT_UPPER_CONSTANT, 4) == -0.6904
     )
     ratios = {n: lambda_min_values[n] / (n - 3) for n in range(5, 13)}
-    inside = all(
-        LIMIT_LOWER_CONSTANT - 1e-9 <= r <= LIMIT_UPPER_CONSTANT + 1e-9
-        for r in ratios.values()
-    )
+    inside = all(br.contains(r) for r in ratios.values())
     ok = endpoints and inside
     _report(9, "limit bracket", ok,
             f"ratios in [{min(ratios.values()):.4f}, {max(ratios.values()):.4f}]")

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from flipspectra import bounds
 from flipspectra.bounds import (
     SLACK,
+    BoundReport,
     CollectionStats,
     _pattern_order,
     assoc_hexagon_lower_bound,
     assoc_lower_bound,
     assoc_upper_bound,
+    bound_report,
     certify_collection_bound,
     chromatic_lower_bound,
     collection_stats,
@@ -374,6 +376,20 @@ def test_holds_allows_slack_and_no_more():
     assert not holds(1.0, 0.0)
 
 
+def test_bound_report_judges_each_side_by_holds():
+    # a lower bound holds below the exact value, up to SLACK and no more
+    assert bound_report("low", -2.0, -1.0, n=5) == BoundReport("low", -2.0, -1.0, True, {"n": 5})
+    assert bound_report("low", SLACK, 0.0).satisfied
+    assert not bound_report("low", 2 * SLACK, 0.0).satisfied
+    # an upper bound holds above it, with the same slack
+    assert bound_report("up", 1.0, 0.0, upper=True).satisfied
+    assert bound_report("up", 0.0, SLACK, upper=True).satisfied
+    assert not bound_report("up", 0.0, 2 * SLACK, upper=True).satisfied
+    # without an exact value the report is unjudged, or keeps the verdict given
+    assert bound_report("free", 3.0, upper=True) == BoundReport("free", 3.0, None, None, {})
+    assert bound_report("bracket", 0.5, satisfied=False).satisfied is False
+
+
 def test_certify_collection_bound_tight_case():
     # the pentagon flip graph is itself a 5-cycle: the bound is exact
     rep = certify_collection_bound(build_associahedron(5), cycle_graph(5))
@@ -427,6 +443,13 @@ def test_collection_from_copies_rejects_non_copy():
         # outer vertices 0..4 in label order are a 5-cycle, but 0,1,2,3 plus
         # an inner vertex is not
         collection_stats_from_copies(p, cycle_graph(5), [[0, 1, 2, 3, 7]])
+
+
+@pytest.mark.parametrize("eps", [2.0, 1.0, 0.0, -0.5, math.nan])
+@pytest.mark.parametrize("lam2", [None, 4.383407])
+def test_flipgraph_bound_reports_check_eps_first(eps, lam2):
+    with pytest.raises(InvalidInputError, match=r"eps must lie in \(0, 1\)"):
+        flipgraph_bound_reports(8, lam2=lam2, eps=eps)
 
 
 def test_flipgraph_bound_reports():

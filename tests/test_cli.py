@@ -14,6 +14,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text: str):
+    """json.loads, but NaN and Infinity, which strict parsers refuse, raise ValueError."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def test_enumerate(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "5")
     assert code == 0
@@ -243,11 +252,27 @@ def test_certify_suite_below_n4_is_input_error(capsys):
     assert out == "" and "input error" in err
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_spectrum_rejects_nonpositive_tol(capsys, tol):
     code, out, err = run_cli(capsys, "spectrum", "--n", "6", "--tol", tol)
     assert code == 2
     assert out == "" and "input error" in err
+
+
+def test_dense_residual_above_tol_is_resource_error(capsys):
+    code, out, err = run_cli(
+        capsys, "spectrum", "--n", "6", "--solver", "dense", "--tol", "1e-30"
+    )
+    assert code == 3
+    assert out == "" and "resource error: dense solve left residual" in err
+
+
+@pytest.mark.parametrize("eps", ["2", "0", "nan"])
+@pytest.mark.parametrize("certify", [[], ["--certify"]], ids=["plain", "certify"])
+def test_bounds_rejects_eps_outside_unit_interval(capsys, eps, certify):
+    code, out, err = run_cli(capsys, "bounds", "--n", "5", "--eps", eps, *certify)
+    assert code == 2
+    assert out == "" and "input error: eps must lie in (0, 1)" in err
 
 
 def test_exit_code_convergence_error(capsys):
@@ -303,6 +328,21 @@ def test_malformed_fn_file_is_input_error(tmp_path, capsys):
     fn = tmp_path / "f.txt"
     fn.write_text("abc\n")
     code, out, err = run_cli(capsys, "walk", "--n", "6", "--test-fn", "file", "--fn-file", str(fn))
+    assert code == 2
+    assert out == "" and "input error" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_fn_file_is_input_error(tmp_path, capsys, bad):
+    fn = tmp_path / "f.txt"
+    argv = ["walk", "--n", "6", "--test-fn", "file", "--fn-file", str(fn)]
+    values = [str(float(i % 3)) for i in range(14)]
+    fn.write_text("\n".join(values) + "\n")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and strict_json(out)["quotient"] > 0
+    # with one bad value there is no report: nothing that only a lax parser reads
+    fn.write_text("\n".join([bad, *values[1:]]) + "\n")
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == "" and "input error" in err
 

@@ -328,11 +328,12 @@ def test_sectors_keep_the_dense_cap(assoc, monkeypatch):
     assert lambda_min(assoc(10)).method == "sectors"
 
 
-def test_sector_residual_above_tol_raises(assoc):
-    with pytest.raises(ConvergenceError) as err:
-        lambda_min(assoc(9), method="sectors", tol=1e-30)
+@pytest.mark.parametrize("method", ["dense", "sectors"])
+def test_residual_above_tol_raises(assoc, method):
+    with pytest.raises(ConvergenceError, match=f"^{method} solve left residual") as err:
+        lambda_min(assoc(9), method=method, tol=1e-30)
     best = err.value.best
-    assert best.method == "sectors"
+    assert best.method == method and best.tolerance == 1e-30
     assert abs(best.value - lambda_min(assoc(9), method="dense").value) <= 1e-9
 
 

@@ -79,6 +79,12 @@ def test_dirichlet_rejects_constant():
         dirichlet_quotient(cycle_graph(5), np.ones(5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dirichlet_rejects_non_finite_values(bad):
+    with pytest.raises(InvalidInputError, match="finite"):
+        dirichlet_quotient(cycle_graph(5), [0.0, 1.0, bad, 1.0, 0.0])
+
+
 def test_dirichlet_eigenvector_achieves_gap(assoc):
     for n in (6, 7, 8):
         g = assoc(n)
