@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Time the pipeline layer by layer, each sample in a fresh process.
 
-Usage: python scripts/bench.py --src CHECKOUT/src --label L
+Usage: python scripts/bench.py --checkout LABEL=CHECKOUT/src [--checkout ...]
 
-For every stage and every n of its range, three fresh Python processes
-import flipspectra from ``--src``, run the stage once and report its
-seconds and their own peak RSS (``resource.getrusage``, the whole process):
+For every stage and every n of its range, three fresh Python processes per
+checkout import flipspectra from that checkout's src, run the stage once
+and report its seconds and their own peak RSS (``resource.getrusage``, the
+whole process).  The samples of all checkouts are interleaved, and the
+checkout that goes first rotates from one sample to the next, so drift of
+the machine during a run falls on every checkout alike.  The stages:
 
 * ``rows`` (n = 10..15): the id-row enumeration, ``flipgraph._id_rows(n)``;
 * ``flip`` (n = 10..15): the flip pass, ``flipgraph._flip_pass(n)``, on rows
@@ -26,9 +29,9 @@ seconds and their own peak RSS (``resource.getrusage``, the whole process):
   ``iterations``.
 
 Only these names are used, so any checkout since the array build can be
-measured.  ``BENCH_<label>.json`` in the repository root holds the
-medians, each run, nproc, the numpy and scipy versions and the thread
-count of every loaded OpenBLAS.
+measured.  ``BENCH_<label>.json`` in the repository root, one per
+checkout, holds the medians, each run, nproc, the numpy and scipy versions
+and the thread count of every loaded OpenBLAS.
 """
 
 import argparse
@@ -103,48 +106,72 @@ def run_child(src: Path, stage: str, n: int) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+def checkout(text: str) -> tuple[str, Path]:
+    label, sep, src = text.partition("=")
+    if not (label and sep and src):
+        raise argparse.ArgumentTypeError(f"expected LABEL=SRC, got {text!r}")
+    return label, Path(src).resolve()
+
+
+def summary(runs: list[dict]) -> dict:
+    entry = {
+        "seconds": statistics.median(r["seconds"] for r in runs),
+        "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
+        "import_rss_mb": statistics.median(r["import_rss_mb"] for r in runs),
+        "setup_rss_mb": statistics.median(r["setup_rss_mb"] for r in runs),
+        "seconds_runs": [round(r["seconds"], 4) for r in runs],
+        "peak_rss_mb_runs": [round(r["peak_rss_mb"], 1) for r in runs],
+    }
+    if "method" in runs[-1]:
+        entry["method"] = runs[-1]["method"]
+        entry["iterations"] = runs[-1]["iterations"]
+    return entry
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter
     )
-    parser.add_argument("--src", type=Path, required=True, help="the checkout's src directory")
-    parser.add_argument("--label", required=True)
-    args = parser.parse_args()
+    parser.add_argument("--checkout", type=checkout, action="append", required=True,
+                        metavar="LABEL=SRC",
+                        help="a label and its checkout's src directory; repeat to compare")
+    pairs = parser.parse_args().checkout
+    checkouts = dict(pairs)
+    if len(checkouts) < len(pairs):
+        parser.error("each --checkout needs its own label")
 
-    src = args.src.resolve()
-    stages: dict[str, dict[str, dict]] = {stage: {} for stage in STAGES}
-    last: dict = {}
+    labels = list(checkouts)
+    width = max(map(len, labels))
+    stages = {label: {stage: {} for stage in STAGES} for label in labels}
+    last: dict[str, dict] = {}
+    turn = 0
     for stage, (n_range, _, _) in STAGES.items():
         for n in n_range:
-            runs = [run_child(src, stage, n) for _ in range(K)]
-            last = runs[-1]
-            entry = {
-                "seconds": statistics.median(r["seconds"] for r in runs),
-                "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
-                "import_rss_mb": statistics.median(r["import_rss_mb"] for r in runs),
-                "setup_rss_mb": statistics.median(r["setup_rss_mb"] for r in runs),
-                "seconds_runs": [round(r["seconds"], 4) for r in runs],
-                "peak_rss_mb_runs": [round(r["peak_rss_mb"], 1) for r in runs],
-            }
-            if "method" in last:
-                entry["method"] = last["method"]
-                entry["iterations"] = last["iterations"]
-            stages[stage][str(n)] = entry
-            print(f"n={n:>2} {stage:<6} {entry['seconds']:8.3f} s {entry['peak_rss_mb']:7.1f} MB",
-                  flush=True)
-    report = {
-        "label": args.label,
-        "k": K,
-        "nproc": len(os.sched_getaffinity(0)),
-        "python": sys.version.split()[0],
-        "numpy": last.get("numpy"),
-        "scipy": last.get("scipy"),
-        "blas_threads": last.get("blas_threads"),
-        "stages": stages,
-    }
-    path = ROOT / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {path}")
+            runs: dict[str, list[dict]] = {label: [] for label in labels}
+            for _ in range(K):
+                first = turn % len(labels)
+                turn += 1
+                for label in labels[first:] + labels[:first]:
+                    runs[label].append(run_child(checkouts[label], stage, n))
+            for label in labels:
+                last[label] = runs[label][-1]
+                entry = stages[label][stage][str(n)] = summary(runs[label])
+                print(f"n={n:>2} {stage:<6} {label:<{width}} {entry['seconds']:8.3f} s "
+                      f"{entry['peak_rss_mb']:7.1f} MB", flush=True)
+    for label in labels:
+        report = {
+            "label": label,
+            "k": K,
+            "nproc": len(os.sched_getaffinity(0)),
+            "python": sys.version.split()[0],
+            "numpy": last[label].get("numpy"),
+            "scipy": last[label].get("scipy"),
+            "blas_threads": last[label].get("blas_threads"),
+            "stages": stages[label],
+        }
+        path = ROOT / f"BENCH_{label}.json"
+        path.write_text(json.dumps(report, indent=1) + "\n")
+        print(f"wrote {path}")
     return 0
 
 

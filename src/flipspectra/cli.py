@@ -89,6 +89,8 @@ def cmd_spectrum(args) -> int:
         raise InvalidInputError(
             f"--max-iterations must be at least 1, got {args.max_iterations}"
         )
+    if args.which == "full" and args.solver == "iterative":
+        raise InvalidInputError("--which full is dense only; --solver iterative cannot give it")
     g = build_associahedron(args.n, args.max_n)
     t0 = time.perf_counter()
     result = {
@@ -100,7 +102,7 @@ def cmd_spectrum(args) -> int:
         "residuals": {},
         "method": None,
         "iterations": 0,
-        "tolerance": args.tol,
+        "tolerance": None if args.which == "full" else args.tol,  # full checks no residual
         "seed": args.seed,
         "seconds": None,
     }
@@ -221,19 +223,7 @@ def cmd_walk(args) -> int:
         if args.test_fn == "aldous":
             f = walk.aldous_test_function(args.n, args.max_n)
         elif args.test_fn == "eigen":
-            if g.vertex_count < 2:
-                raise InvalidInputError(
-                    "the eigen test function needs a second eigenvector; "
-                    f"the flip graph of the {args.n}-gon has one vertex"
-                )
-            if g.vertex_count > spectra.DENSE_LIMIT_DEFAULT:
-                raise CapacityError(
-                    "the eigen test function needs the dense eigensolver; "
-                    f"limited to {spectra.DENSE_LIMIT_DEFAULT} vertices"
-                )
-            a = g.dense_adjacency()
-            vals, vecs = np.linalg.eigh(a)
-            f = vecs[:, -2]
+            f = spectra.lambda_2(g, seed=args.seed).vector
         else:
             if not args.fn_file:
                 raise InvalidInputError("--test-fn file needs --fn-file")

@@ -22,19 +22,21 @@ is lifted to the whole graph.
 No answer is trusted: every path yields a real vector x, and the
 reported value is its Rayleigh quotient on the full A, for unit x, with
 the residual ||A x - value x|| computed from A.  A residual above ``tol``
-raises ConvergenceError, on the dense path too.
+raises ConvergenceError, on the dense path too.  Each answer carries its
+unit x, so callers that need the eigenvector take it from here.
 
-``auto`` picks, in this order: the dense solver up to AUTO_DENSE_LIMIT
-vertices, where a full ``eigh`` beats ARPACK, and for irregular graphs,
-which the iterative path rejects, up to the dense capacity
-DENSE_LIMIT_DEFAULT; the sectors on a flip graph whose largest block,
-block 0 with one row per rotation orbit, fits both AUTO_DENSE_LIMIT and
-the dense cap; ARPACK otherwise.
+``method`` is ``auto``, ``dense`` or ``iterative``, and only ``auto``
+picks the sectors.  It tries, in this order: the dense solver up to
+AUTO_DENSE_LIMIT vertices, where a full ``eigh`` beats ARPACK, and for
+irregular graphs, which the iterative path rejects, up to the dense
+capacity DENSE_LIMIT_DEFAULT; the sectors on a flip graph whose largest
+block, block 0 with one row per rotation orbit, fits AUTO_DENSE_LIMIT;
+ARPACK otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -58,6 +60,7 @@ class SpectralResult:
     method: str      # "dense", "sectors" or "iterative"
     iterations: int  # operator applications; 0 on the dense and sector paths
     tolerance: float
+    vector: np.ndarray = field(default=None, compare=False, repr=False)  # the unit x
 
 
 @dataclass(frozen=True)
@@ -209,27 +212,20 @@ def _sectors(g: Graph, second: bool) -> np.ndarray:
 
 
 def _choose_method(g: Graph, method: str) -> str:
-    cap = DENSE_LIMIT_DEFAULT
-    auto = method == "auto"
-    if auto:
+    if method == "auto":
         if g.vertex_count <= AUTO_DENSE_LIMIT or g.degree is None:
-            return "dense" if g.vertex_count <= cap else "iterative"
-        # the largest block has at least N/n rows: skip the orbits when that cannot fit
-        if g.polygon is None or g.vertex_count > g.polygon * AUTO_DENSE_LIMIT:
-            return "iterative"
-        method, cap = "sectors", min(AUTO_DENSE_LIMIT, cap)
-    if method == "dense" and g.vertex_count > cap:
-        raise CapacityError(f"dense solver limited to {cap} vertices")
-    if method == "sectors":
-        if g.polygon is None:
-            raise InvalidInputError("the sector solver needs a flip graph")
-        rep = rotation_orbits(g.polygon)[0]
-        rows = int((rep == np.arange(len(rep))).sum())  # block 0 holds every orbit
-        if rows > cap:
-            if auto:
-                return "iterative"
-            raise CapacityError(f"sector block of {rows} rows exceeds the dense cap of {cap}")
-    if method not in ("dense", "iterative", "sectors"):
+            method = "dense" if g.vertex_count <= DENSE_LIMIT_DEFAULT else "iterative"
+        # block 0, one row per rotation orbit, has at least N/n rows: skip
+        # the orbits when it cannot fit
+        elif g.polygon is None or g.vertex_count > g.polygon * AUTO_DENSE_LIMIT:
+            method = "iterative"
+        else:
+            rep = rotation_orbits(g.polygon)[0]
+            fits = (rep == np.arange(len(rep))).sum() <= AUTO_DENSE_LIMIT
+            method = "sectors" if fits else "iterative"
+    elif method == "dense" and g.vertex_count > DENSE_LIMIT_DEFAULT:
+        raise CapacityError(f"dense solver limited to {DENSE_LIMIT_DEFAULT} vertices")
+    elif method not in ("dense", "iterative"):
         raise InvalidInputError(f"unknown method {method!r}")
     # ARPACK needs more vertices than wanted eigenvalues
     return "dense" if g.vertex_count == 1 else method
@@ -241,7 +237,8 @@ def _rayleigh(g: Graph, x: np.ndarray, method: str, iterations: int, tol: float)
     u, v = g.arcs()
     ax = np.bincount(u, x[v], minlength=g.vertex_count)
     value = float(x @ ax)
-    return SpectralResult(value, float(np.linalg.norm(ax - value * x)), method, iterations, tol)
+    residual = float(np.linalg.norm(ax - value * x))
+    return SpectralResult(value, residual, method, iterations, tol, x)
 
 
 def _solve(

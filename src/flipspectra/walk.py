@@ -125,7 +125,7 @@ def aldous_test_function(n: int, max_n: int | None = None) -> np.ndarray:
     return np.minimum(dist, n - dist).min(axis=0).astype(float)
 
 
-def gap_scan(n_values, tol: float = 1e-9, seed: int = 0) -> list[tuple[int, float, float]]:
+def gap_scan(n_values) -> list[tuple[int, float, float]]:
     """Rows (n, lambda_2, (n-3-lambda_2) * sqrt(n)) for each requested n.
 
     The last column is the empirical constant in the gap lower bound
@@ -134,6 +134,6 @@ def gap_scan(n_values, tol: float = 1e-9, seed: int = 0) -> list[tuple[int, floa
     rows = []
     for n in n_values:
         g = build_associahedron(n)
-        lam2 = lambda_2(g, tol=tol, seed=seed).value
+        lam2 = lambda_2(g).value
         rows.append((n, lam2, (n - 3 - lam2) * math.sqrt(n)))
     return rows

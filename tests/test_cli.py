@@ -5,6 +5,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flipspectra.cli import build_parser, main
+from flipspectra.flipgraph import Graph
+from flipspectra.spectra import lambda_2
 from oracles import ear_count, enumerate_objects
 
 
@@ -82,6 +84,17 @@ def test_spectrum_full_json(capsys):
     payload = json.loads(out)
     assert len(payload["eigenvalues"]) == 14
     assert abs(payload["lambda_2"] - 2.0) < 1e-9
+    # the full decomposition checks no residual, so it claims no tolerance
+    assert payload["method"] == "dense" and payload["tolerance"] is None
+    assert payload["residuals"] == {}
+
+
+def test_spectrum_full_refuses_the_iterative_solver(capsys):
+    code, out, err = run_cli(
+        capsys, "spectrum", "--n", "6", "--which", "full", "--solver", "iterative"
+    )
+    assert code == 2
+    assert out == "" and "input error: --which full" in err
 
 
 def test_spectrum_iterative(capsys):
@@ -381,7 +394,21 @@ def test_spectrum_rejects_max_iterations_below_one(capsys, value):
 def test_walk_eigen_on_single_vertex_is_input_error(capsys):
     code, out, err = run_cli(capsys, "walk", "--n", "3", "--test-fn", "eigen")
     assert code == 2
-    assert out == "" and "input error" in err
+    assert out == "" and "second eigenvalue undefined on fewer than 2 vertices" in err
+
+
+def test_walk_eigen_at_n11_takes_lambda_2s_vector(capsys, monkeypatch, assoc):
+    def no_dense(self):
+        raise AssertionError("dense adjacency built")
+
+    monkeypatch.setattr(Graph, "dense_adjacency", no_dense)
+    code, out, _ = run_cli(capsys, "walk", "--n", "11", "--test-fn", "eigen")
+    assert code == 0
+    g = assoc(11)
+    d, lam2 = g.degree, lambda_2(g).value
+    # a unit vector orthogonal to the constants has variance 1/N and
+    # directed-edge sum 2 (d - lambda_2)
+    assert abs(json.loads(out)["quotient"] - 2 * (d - lam2) / d) <= 1e-9
 
 
 @pytest.mark.parametrize(

@@ -268,20 +268,24 @@ def test_sector_spectra_make_up_the_dense_spectrum(n, assoc):
     assert np.abs(np.sort(vals)[::-1] - want).max() <= 1e-9
 
 
+def _sector_answer(g, second):
+    """The sector path's answer on any flip graph; ``auto`` only takes it for A9 and A10."""
+    return spectra._rayleigh(g, spectra._sectors(g, second), "sectors", 0, 1e-9)
+
+
 @pytest.mark.parametrize("n", range(4, 11))
 def test_sectors_match_dense(n, assoc):
     g = assoc(n)
-    for solver in (lambda_min, lambda_2):
-        sec = solver(g, method="sectors")
-        assert (sec.method, sec.iterations) == ("sectors", 0)
+    for second, solver in ((False, lambda_min), (True, lambda_2)):
+        sec = _sector_answer(g, second)
         assert abs(sec.value - solver(g, method="dense").value) <= 1e-9
-        assert sec.residual <= sec.tolerance == 1e-9
+        assert sec.residual <= 1e-9
 
 
 def test_sectors_match_iterative_at_n11(assoc):
     g = assoc(11)
-    for solver in (lambda_min, lambda_2):
-        sec = solver(g, method="sectors")
+    for second, solver in ((False, lambda_min), (True, lambda_2)):
+        sec = _sector_answer(g, second)
         it = solver(g, method="iterative")
         assert sec.residual <= 1e-9 and it.residual <= 1e-9
         assert abs(sec.value - it.value) <= sec.residual + it.residual
@@ -301,40 +305,57 @@ def test_auto_gives_sectors_to_mid_sized_flip_graphs_only(assoc):
     for h in others:
         assert h.vertex_count > AUTO_DENSE_LIMIT
         assert lambda_min(h).method == lambda_2(h).method == "iterative"
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="unknown method"):
             lambda_min(h, method="sectors")
 
 
 def test_sectors_keep_the_dense_cap(assoc, monkeypatch):
-    def capped(cap):
-        monkeypatch.setattr(spectra, "DENSE_LIMIT_DEFAULT", cap)
+    def limit(rows):
+        monkeypatch.setattr(spectra, "AUTO_DENSE_LIMIT", rows)
 
-    # block 0 of A9 holds all 49 rotation orbits
-    capped(48)
-    with pytest.raises(CapacityError):
-        lambda_min(assoc(9), method="sectors")
-    capped(49)
-    assert lambda_min(assoc(9), method="sectors").method == "sectors"
-    capped(40)
+    # auto takes the sectors only when block 0, which holds every rotation
+    # orbit, fits AUTO_DENSE_LIMIT.  A9 has 49 orbits
+    limit(48)
     assert lambda_min(assoc(9)).method == "iterative"
-    # A10 has 150 orbits, more than 1430 / 10 = 143: auto and an explicit
-    # request read the same block size against the cap
-    for cap in (143, 149):
-        capped(cap)
+    limit(49)
+    assert lambda_min(assoc(9)).method == "sectors"
+    # A10 has 150 orbits, more than 1430 / 10 = 143
+    for rows in (143, 149):
+        limit(rows)
         assert lambda_min(assoc(10)).method == "iterative"
-        with pytest.raises(CapacityError):
-            lambda_min(assoc(10), method="sectors")
-    capped(150)
+    limit(150)
     assert lambda_min(assoc(10)).method == "sectors"
 
 
-@pytest.mark.parametrize("method", ["dense", "sectors"])
+def test_sectors_is_not_a_method(assoc):
+    with pytest.raises(InvalidInputError, match="unknown method 'sectors'"):
+        lambda_min(assoc(9), method="sectors")
+
+
+@pytest.mark.parametrize("method", ["dense", "auto"])
 def test_residual_above_tol_raises(assoc, method):
-    with pytest.raises(ConvergenceError, match=f"^{method} solve left residual") as err:
+    path = "sectors" if method == "auto" else method  # auto solves A9 by sectors
+    with pytest.raises(ConvergenceError, match=f"^{path} solve left residual") as err:
         lambda_min(assoc(9), method=method, tol=1e-30)
     best = err.value.best
-    assert best.method == method and best.tolerance == 1e-30
+    assert best.method == path and best.tolerance == 1e-30
     assert abs(best.value - lambda_min(assoc(9), method="dense").value) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "n, method, path",
+    [(7, "dense", "dense"), (9, "auto", "sectors"), (9, "iterative", "iterative"),
+     (11, "auto", "iterative")],
+)
+def test_every_answer_carries_its_unit_vector(assoc, n, method, path):
+    g = assoc(n)
+    for solver in (lambda_min, lambda_2):
+        r = solver(g, method=method)
+        x = r.vector
+        assert r.method == path
+        assert abs(np.linalg.norm(x) - 1) <= 1e-12
+        assert abs(np.linalg.norm(matvec(g, x) - r.value * x) - r.residual) <= 1e-12
+    assert abs(x.sum()) <= 1e-9  # lambda_2's vector is orthogonal to the constants
 
 
 _SECTOR_VALUES = (
