@@ -26,10 +26,17 @@ the machine during a run falls on every checkout alike.  The stages:
 * ``lmin`` and ``lam2`` (n = 9..12): ``spectra.lambda_min(g)`` and
   ``spectra.lambda_2(g)`` under ``auto``, on the flip graph built (untimed)
   in the same process; each also records the result's ``method`` and
-  ``iterations``.
+  ``iterations``;
+* ``sectors`` (n = 9..12): the eigenvalues of every rotation sector,
+  ``spectra._sector_eigenvalues(n)``, on the flip graph and its rotation
+  orbits built (untimed) in the same process.  It runs whichever sector
+  solver the checkout has, whether or not ``auto`` would take it at n;
+* ``enumerate`` (n = 12..14): ``enumerate --n N`` through ``cli.main``,
+  from cold, with its output discarded.
 
 Only these names are used, so any checkout since the array build can be
-measured.  ``BENCH_<label>.json`` in the repository root, one per
+measured, and since the rotation sectors for the ``sectors`` stage.
+``BENCH_<label>.json`` in the repository root, one per
 checkout, holds the medians, each run, nproc, the numpy and scipy versions
 and the thread count of every loaded OpenBLAS.
 """
@@ -59,6 +66,17 @@ STAGES = {
     "aldous": (range(10, 13), "", "walk.aldous_test_function(n)"),
     "lmin": (range(9, 13), "g = fg.build_associahedron(n)", "result = spectra.lambda_min(g)"),
     "lam2": (range(9, 13), "g = fg.build_associahedron(n)", "result = spectra.lambda_2(g)"),
+    "sectors": (
+        range(9, 13),
+        "g = fg.build_associahedron(n); fg.rotation_orbits(n)",
+        "spectra._sector_eigenvalues(n)",
+    ),
+    "enumerate": (
+        range(12, 15),
+        "",
+        "with open(os.devnull, 'w') as null, contextlib.redirect_stdout(null): "
+        "cli.main(['enumerate', '--n', str(n)])",
+    ),
 }
 
 CHILD = """
@@ -156,7 +174,7 @@ def main() -> int:
             for label in labels:
                 last[label] = runs[label][-1]
                 entry = stages[label][stage][str(n)] = summary(runs[label])
-                print(f"n={n:>2} {stage:<6} {label:<{width}} {entry['seconds']:8.3f} s "
+                print(f"n={n:>2} {stage:<9} {label:<{width}} {entry['seconds']:8.3f} s "
                       f"{entry['peak_rss_mb']:7.1f} MB", flush=True)
     for label in labels:
         report = {

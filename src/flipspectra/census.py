@@ -232,6 +232,13 @@ def _degree(n: int, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return 1 + _is_diagonal(n, x, z) + _is_diagonal(n, y, z)
 
 
+def _edge_slots(target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, i): each flip edge once, as the slot u < target[u, i], in ``Graph.edges()`` order."""
+    u, i = np.nonzero(np.arange(len(target))[:, None] < target)
+    order = np.lexsort((target[u, i], u))
+    return u[order], i[order]
+
+
 def _census_stats(
     per_vertex: np.ndarray, target: np.ndarray, counts: np.ndarray, size: int
 ) -> CollectionStats:
@@ -240,8 +247,7 @@ def _census_stats(
     counts[v, i] belongs to the flip edge (v, target[v, i]); each edge is
     taken once, in ``Graph.edges()`` order.
     """
-    u, i = np.nonzero(np.arange(len(target))[:, None] < target)
-    per_edge = tuple(counts[u, i][np.lexsort((target[u, i], u))].tolist())
+    per_edge = tuple(counts[_edge_slots(target)].tolist())
     per_vertex = tuple(per_vertex.tolist())
     return CollectionStats(
         min(per_vertex), max(per_edge), per_vertex, per_edge, sum(per_vertex) // size

@@ -23,6 +23,7 @@ from . import bounds, census, certify, spectra, walk
 from .errors import CapacityError, ConvergenceError, InvalidInputError
 from .flipgraph import _flip_pass, build_associahedron, write_edge_list
 from .reference import LAMBDA_2_TABLE, LAMBDA_MIN_TABLE, check_reference
+from .triangulations import enumerate_triangulations
 
 EXIT_OK = 0
 EXIT_CLAIM = 1
@@ -58,9 +59,9 @@ def _json(obj) -> str:
 
 
 def cmd_enumerate(args) -> int:
-    # vertex i of the flip graph is triangulation i, labelled by its code
-    labels = build_associahedron(args.n, args.max_n).labels
-    _emit(args, "".join(code + "\n" for code in labels))
+    # code i is vertex i of the flip graph, without building it
+    codes = enumerate_triangulations(args.n, args.max_n)
+    _emit(args, "".join(code + "\n" for code in codes))
     return EXIT_OK
 
 
@@ -142,8 +143,8 @@ def cmd_census(args) -> int:
     if args.oracle and hexa:
         hexa_oracle = census.hexagon_census_oracle(args.n, args.max_n)
     if args.edges:
-        u, v = zip(*build_associahedron(args.n, args.max_n).edges())
-        columns = {"u": u, "v": v, "pentagon_count": pent.per_edge}
+        u, i = census._edge_slots(flips[-1])  # the flip graph's edges, from the same pass
+        columns = {"u": u.tolist(), "v": flips[-1][u, i].tolist(), "pentagon_count": pent.per_edge}
         hexa_name, per = "hexagon_count", "per_edge"
     else:
         columns = {"vertex_index": range(len(t1)), "t1": t1, "pentagon_formula": pent.per_vertex}

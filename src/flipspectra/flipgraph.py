@@ -5,8 +5,8 @@ which keeps matrix-vector products cache friendly.  The flip graph is built
 from the array enumeration of the triangulations (``triangulations._id_rows``,
 one row of diagonal ids each) in one vectorised flip pass, which the census
 also reads.  Besides the flip graph itself the module builds box products,
-induced subgraphs and diagonal slices, and the orbits of the polygon's
-rotation on the flip graph's vertices.
+induced subgraphs and diagonal slices, the orbits of the polygon's
+rotation on the flip graph's vertices, and the polygon's reflection.
 """
 
 from __future__ import annotations
@@ -269,6 +269,19 @@ def rotation_orbits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for arr in (rep, shift, size):
         arr.flags.writeable = False
     return rep, shift, size
+
+
+@lru_cache(maxsize=32)
+def reflection(n: int) -> np.ndarray:
+    """The image of every vertex of the flip graph of the n-gon under its reflection.
+
+    The reflection, polygon vertex i to -i mod n (0-based), is an involutive
+    automorphism that turns rotation_orbits' R into R^-1; n is not checked.
+    """
+    a, b = _diagonal_ids(n)[0].T
+    mirror = _row_index(n, _pair_ids(n, -a % n, -b % n)[_id_rows(n)])
+    mirror.flags.writeable = False
+    return mirror
 
 
 def slice_product_map(n: int, k: int) -> np.ndarray:

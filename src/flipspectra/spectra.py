@@ -11,13 +11,13 @@ vector, while the Perron value d moves to -(d+1), below all of A's
 spectrum.
 
 The sector path serves flip graphs (``Graph.polygon`` set).  Rotating
-the n-gon by one step commutes with A, so A splits into one Hermitian
-block per rotation frequency j, on the orbit representatives whose orbit
-size s has j s = 0 (mod n) (momentum sectors; A. W. Sandvik, *AIP Conf.
-Proc.* 1297, 135, 2010).  Blocks j and n - j are complex conjugates with
-one spectrum, so the blocks j = 0..n//2 are solved densely with
-``scipy.linalg``; the eigenvector comes from the winning block alone and
-is lifted to the whole graph.
+the n-gon by one step commutes with A, so A splits into one block per
+rotation frequency j (momentum sectors; A. W. Sandvik, *AIP Conf. Proc.*
+1297, 135, 2010), and blocks j and n - j share one spectrum.  The
+polygon's reflection makes each block j = 0..n//2 real symmetric and
+splits blocks 0 and n/2 in two (``_parts``).  Each part is solved
+densely with ``scipy.linalg``, and the winning part's eigenvector is
+lifted to the whole graph.
 
 No answer is trusted: every path yields a real vector x, and the
 reported value is its Rayleigh quotient on the full A, for unit x, with
@@ -43,7 +43,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CapacityError, ConvergenceError, InvalidInputError
-from .flipgraph import Graph, _associahedron_cached, is_connected, rotation_orbits
+from .flipgraph import Graph, _associahedron_cached, is_connected, reflection, rotation_orbits
 
 DENSE_LIMIT_DEFAULT = 5000  # capacity of the dense solver
 # auto leaves the dense solver above this many vertices, and gives the
@@ -149,14 +149,19 @@ def _iterative(
     return deflated(vecs[:, 0]), applied
 
 
-def _block(g: Graph, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """(B, at): the rotation-frequency-j block of the flip graph g's adjacency.
+def _parts(g: Graph, j: int) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], np.ndarray]:
+    """(parts, at): the real symmetric parts of the flip graph g's rotation-frequency-j block.
 
-    The block acts on the orbit representatives a with j s_a = 0 (mod n),
-    s_a the orbit size; at[v] is the row of v's representative, or -1 when
-    v's orbit lies outside the sector.  B[b, a] = sqrt(s_a / s_b) times the
-    sum of omega^(-j t) over the neighbours R^t(b) of a, with
-    omega = e^(2 pi i / n).  Real at j = 0 and j = n/2.
+    The block acts on e_a = omega^(j t) / sqrt(s_a) at R^t(a), omega = e^(2 pi i / n),
+    for the representatives a with j s_a = 0 (mod n); at[v] is the row of v's
+    representative, or -1 outside the sector.  With sigma = reflection(n) and
+    sigma(a) = R^c(a*), sigma after conjugation maps e_a to kappa e_a*, kappa =
+    omega^(-j c), and its fixed vectors make the block real: alpha e_a with
+    alpha^2 = kappa for a = a*, and (e_a + kappa e_a*) / sqrt(2) and
+    i (e_a - kappa e_a*) / sqrt(2) for a pair.  At j = 0 and n/2, kappa = +-1,
+    the i is dropped, and the block splits into the even and odd part of
+    e_a -> kappa e_a*.  In part (matrix, col, coef), row r is coef[r, s] in
+    basis vector col[r, s], where coef is not 0; s = 0 even, 1 odd.
     """
     n = g.polygon
     rep, shift, size = rotation_orbits(n)
@@ -165,44 +170,74 @@ def _block(g: Graph, j: int) -> tuple[np.ndarray, np.ndarray]:
     row = np.full(len(rep), -1)
     row[reps] = np.arange(m)
     at = row[rep]
+    phase = np.exp(-2j * np.pi * j / n * np.arange(n))  # omega^(-j t)
+    split = 2 * j % n == 0
+    mirror = reflection(n)[reps]
+    r, mate, kappa = np.arange(m), at[mirror], phase[shift[mirror]]
+    odd = 1 if split else 1j
+    coef = np.zeros((m, 2), dtype=complex)
+    coef[r < mate] = np.sqrt(0.5) * np.array([1, odd])
+    later = r > mate
+    coef[later] = np.sqrt(0.5) * kappa[mate[later], None] * np.array([1, -odd])
+    alone = r == mate
+    coef[alone, 0] = np.sqrt(kappa[alone])
+    if split:  # there e_a is even (alpha = 1) or odd, and drops the i
+        coef[alone & (kappa.real < 0)] = (0, 1)
+    # number the vectors by their first rows, the even ones before the odd ones
+    used = coef != 0
+    first = used & (r <= mate)[:, None]
+    col = (np.cumsum(first.T).reshape(2, m).T - 1)[np.minimum(r, mate)]
+    even = first[:, 0].sum()
+    if split:  # each part numbers its own
+        col[:, 1] -= even
+    # B[b, a], the block in the basis e, from the arcs a -> w with b = at[w]
     a, w = g.neighbor_pairs(reps)
-    b = at[w]
-    keep = b >= 0
-    a, w, b = a[keep], w[keep], b[keep]
-    phase = np.exp(-2j * np.pi * j / n * np.arange(n))[shift[w]]
-    weight = phase * np.sqrt(size[reps[a]] / size[w])
-    block = np.bincount(b * m + a, weight.real, minlength=m * m).reshape(m, m)
-    if 2 * j % n:
-        block = block + 1j * np.bincount(b * m + a, weight.imag, minlength=m * m).reshape(m, m)
-    return block, at
+    keep = at[w] >= 0
+    a, w, b = a[keep], w[keep], at[w[keep]]
+    weight = phase[shift[w]] * np.sqrt(size[reps[a]] / size[w])
+    parts = []
+    for slots, k in [((0,), even), ((1,), m - even)] if split else [((0, 1), m)]:
+        # slot s of the row b against slot t of the column a: at most 4 entries an arc
+        s, t = np.repeat(slots, len(slots)), np.tile(slots, len(slots))
+        hit = used[b[:, None], s] & used[a[:, None], t]
+        rows, cols = col[b[:, None], s][hit], col[a[:, None], t][hit]
+        vals = (coef[b[:, None], s].conj() * weight[:, None] * coef[a[:, None], t]).real[hit]
+        # float64 also when no arc reaches the part, where bincount gives int64
+        matrix = np.bincount(rows * k + cols, vals, minlength=k * k).astype(float, copy=False)
+        parts.append((matrix.reshape(k, k), col[:, slots], coef[:, slots]))
+    return parts, at
 
 
 @lru_cache(maxsize=32)
-def _sector_eigenvalues(n: int) -> tuple[np.ndarray, ...]:
-    """Ascending eigenvalues of the blocks j = 0..n//2 of the n-gon's flip graph."""
+def _sector_eigenvalues(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """(j, part, ascending eigenvalues) of every real part of the n-gon's blocks j = 0..n//2."""
     g = _associahedron_cached(n)
-    blocks = tuple(scipy.linalg.eigvalsh(_block(g, j)[0]) for j in range(n // 2 + 1))
-    for vals in blocks:
-        vals.flags.writeable = False
-    return blocks
+    out = []
+    for j in range(n // 2 + 1):
+        for part, (matrix, _, _) in enumerate(_parts(g, j)[0]):
+            vals = scipy.linalg.eigvalsh(matrix)
+            vals.flags.writeable = False
+            out.append((j, part, vals))
+    return tuple(out)
 
 
 def _sectors(g: Graph, second: bool) -> np.ndarray:
     """lambda_min's vector, or lambda_2's if ``second``, from a flip graph's rotation blocks."""
     n = g.polygon
-    picks = []  # (eigenvalue, j, its index in block j)
-    for j, vals in enumerate(_sector_eigenvalues(n)):
-        # block 0 holds the constant vector, whose Perron value d is its largest
-        index = len(vals) - 1 - (j == 0) if second else 0
+    picks = []  # (eigenvalue, j, part, its index in the part)
+    for j, part, vals in _sector_eigenvalues(n):
+        # block 0's even part holds the constant vector, whose Perron value d is its largest
+        index = len(vals) - 1 - (j == part == 0) if second else 0
         if 0 <= index < len(vals):
-            picks.append((vals[index], j, index))
-    _, j, index = max(picks) if second else min(picks)
-    block, at = _block(g, j)
-    vec = scipy.linalg.eigh(block, subset_by_index=[index, index])[1][:, 0]
-    # lift: c_rep omega^(j t) / sqrt(s) at v = R^t(rep), zero outside the sector.
-    # Its real part is an eigenvector too, as A is real, and never vanishes:
-    # at j = 0 and n/2 the lift is real, and otherwise omega^(2j) != 1, so
-    # over each orbit cos^2 of the phases averages 1/2 and half the norm stays
+            picks.append((vals[index], j, part, index))
+    _, j, part, index = max(picks) if second else min(picks)
+    parts, at = _parts(g, j)
+    matrix, col, coef = parts[part]
+    y = scipy.linalg.eigh(matrix, subset_by_index=[index, index])[1][:, 0]
+    vec = (coef * y[col]).sum(axis=1)  # the coefficients of the e_a
+    # lift: vec_rep omega^(j t) / sqrt(s) at v = R^t(rep), zero outside the sector.  Its
+    # real part is an eigenvector too, as A is real, and never vanishes: at j = 0 and
+    # n/2 the lift is real, else omega^(2j) != 1 and half the norm of each orbit stays
     _, shift, size = rotation_orbits(n)
     inside = at >= 0
     x = np.zeros(g.vertex_count)

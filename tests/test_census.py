@@ -327,6 +327,19 @@ def test_census_reports_read_a_given_flip_pass():
     assert hexagon_census(9, _flips=flips) == hexagon_census(9)
 
 
+@pytest.mark.parametrize("n", range(5, 12))
+def test_edge_slots_list_the_flip_graphs_edges(n):
+    target = _flip_pass(n)[-1]
+    u, i = census._edge_slots(target)
+    assert list(zip(u.tolist(), target[u, i].tolist())) == list(build_associahedron(n).edges())
+
+
+def test_census_edges_do_not_build_the_flip_graph(monkeypatch, capsys):
+    want = (cli.main(["census", "--n", "9", "--edges"]), capsys.readouterr().out)
+    monkeypatch.setattr(cli, "build_associahedron", lambda *a: pytest.fail("built the graph"))
+    assert (cli.main(["census", "--n", "9", "--edges"]), capsys.readouterr().out) == want
+
+
 @pytest.mark.parametrize("extra", [[], ["--edges"], ["--oracle"], ["--oracle", "--edges"]])
 def test_census_command_runs_one_flip_pass(monkeypatch, capsys, extra):
     calls = []

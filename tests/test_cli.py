@@ -4,9 +4,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from flipspectra import cli
 from flipspectra.cli import build_parser, main
 from flipspectra.flipgraph import Graph
 from flipspectra.spectra import lambda_2
+from flipspectra.triangulations import enumerate_triangulations
 from oracles import ear_count, enumerate_objects
 
 
@@ -39,6 +41,13 @@ def test_enumerate_matches_triangulation_codes(capsys, n):
     code, out, _ = run_cli(capsys, "enumerate", "--n", str(n))
     assert code == 0
     assert out == "".join(t.code() + "\n" for t in enumerate_objects(n))
+
+
+def test_enumerate_does_not_build_the_flip_graph(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_associahedron", lambda *a: pytest.fail("built the graph"))
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "9")
+    assert code == 0
+    assert out == "".join(t + "\n" for t in enumerate_triangulations(9))
 
 
 def test_enumerate_above_size_cap_is_input_error(capsys):

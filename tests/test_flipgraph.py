@@ -469,6 +469,21 @@ def test_rotation_orbits_match_the_rotation(n):
     assert (size == size[rep]).all()
 
 
+@pytest.mark.parametrize("n", range(4, 12))
+def test_reflection_is_an_involutive_automorphism_that_inverts_the_rotation(n):
+    g = build_associahedron(n)
+    mirror = fg.reflection(n)
+    assert np.array_equal(mirror[mirror], np.arange(g.vertex_count))
+    u, v = g.arcs()
+    assert np.array_equal(np.sort(mirror[u] * g.vertex_count + mirror[v]), g.arc_keys())
+    # R read off rotation_orbits, checked against the turned codes
+    rep, shift, size = fg.rotation_orbits(n)
+    at = {(r, t): w for w, (r, t) in enumerate(zip(rep.tolist(), shift.tolist()))}
+    rot = np.array([at[r, (t + 1) % s] for r, t, s in zip(rep, shift, size)])
+    assert np.array_equal(rot, rotation_oracle(n))
+    assert np.array_equal(mirror[rot], np.argsort(rot)[mirror])  # sigma R = R^-1 sigma
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 def test_rotation_block_sizes_sum_to_the_vertex_count(n):
     rep, _, size = fg.rotation_orbits(n)

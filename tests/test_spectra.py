@@ -261,11 +261,52 @@ def test_iterative_seed_determinism():
 @pytest.mark.parametrize("n", range(4, 11))
 def test_sector_spectra_make_up_the_dense_spectrum(n, assoc):
     vals = []
-    for j, block in enumerate(_sector_eigenvalues(n)):
-        vals.extend(block if 2 * j % n == 0 else np.repeat(block, 2))  # j and n - j
+    for j, _, part in _sector_eigenvalues(n):
+        vals.extend(part if 2 * j % n == 0 else np.repeat(part, 2))  # j and n - j
     want = dense_spectrum(assoc(n)).eigenvalues
     assert len(vals) == len(want)
     assert np.abs(np.sort(vals)[::-1] - want).max() <= 1e-9
+
+
+@pytest.mark.parametrize("n", range(4, 12))
+def test_every_sector_part_is_real_symmetric(n, assoc):
+    for j in range(n // 2 + 1):
+        parts, _ = spectra._parts(assoc(n), j)
+        assert len(parts) == (2 if 2 * j % n == 0 else 1)  # blocks 0 and n/2 split
+        for matrix, _, _ in parts:
+            assert matrix.dtype == np.float64
+            assert np.allclose(matrix, matrix.T, rtol=0, atol=1e-12)
+
+
+def test_a9_and_a10_part_sizes(assoc):
+    def sizes(n, j):
+        return [len(matrix) for matrix, _, _ in spectra._parts(assoc(n), j)[0]]
+
+    assert sizes(9, 0) == [27, 22]  # 49 rows, split by the reflection
+    assert sizes(10, 0) == [82, 68]  # 150 rows
+    assert sizes(10, 5) == [75, 61]  # 136 rows
+    assert [sizes(10, j) for j in range(1, 5)] == [[136], [150], [136], [150]]
+
+
+def test_sector_path_calls_lapack_on_real_arrays_only(assoc, monkeypatch):
+    seen = []
+
+    def recording(solve):
+        def wrapped(a, *args, **kwargs):
+            seen.append((solve.__name__, np.asarray(a).dtype))
+            return solve(a, *args, **kwargs)
+
+        return wrapped
+
+    linalg = spectra.scipy.linalg  # the module as spectra sees it
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(linalg, name, recording(getattr(linalg, name)))
+    _sector_eigenvalues.cache_clear()
+    for n in (9, 10):
+        for solver in (lambda_min, lambda_2):
+            assert solver(assoc(n)).method == "sectors"
+    assert {name for name, _ in seen} == {"eigh", "eigvalsh"}
+    assert {dtype for _, dtype in seen} == {np.dtype(np.float64)}
 
 
 def _sector_answer(g, second):
