@@ -32,7 +32,9 @@ the machine during a run falls on every checkout alike.  The stages:
   orbits built (untimed) in the same process.  It runs whichever sector
   solver the checkout has, whether or not ``auto`` would take it at n;
 * ``enumerate`` (n = 12..14): ``enumerate --n N`` through ``cli.main``,
-  from cold, with its output discarded.
+  from cold, with its output discarded;
+* ``certify`` (n = 8..10): the claim suite, ``bounds --certify --n-max N``
+  through ``cli.main``, from cold, with its output discarded.
 
 Only these names are used, so any checkout since the array build can be
 measured, and since the rotation sectors for the ``sectors`` stage.
@@ -77,6 +79,12 @@ STAGES = {
         "with open(os.devnull, 'w') as null, contextlib.redirect_stdout(null): "
         "cli.main(['enumerate', '--n', str(n)])",
     ),
+    "certify": (
+        range(8, 11),
+        "",
+        "with open(os.devnull, 'w') as null, contextlib.redirect_stdout(null): "
+        "cli.main(['bounds', '--certify', '--n-max', str(n)])",
+    ),
 }
 
 CHILD = """
@@ -92,8 +100,8 @@ def blas_threads():
     out = {}
     for path in sorted({l.split()[-1] for l in open("/proc/self/maps") if "openblas" in l}):
         lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                     "openblas_get_num_threads"):
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
             if hasattr(lib, name):
                 out[path.rsplit("/", 1)[-1]] = getattr(lib, name)()
                 break

@@ -353,9 +353,16 @@ def contains_triangle(g: Graph) -> bool:
     keys = g.arc_keys()
     u, v = g.arcs()
     u, v = u[u < v], v[u < v]
-    i, w = g.neighbor_pairs(v)
-    above = w > v[i]
-    return bool(_in_sorted(keys, u[i[above]] * g.vertex_count + w[above]).any())
+    deg = g.degrees()
+    # slot s of every v's neighbours per pass: O(E) arrays, and the first hit ends the scan
+    for s in range(int(deg[v].max(initial=0))):
+        more = deg[v] > s
+        u, v = u[more], v[more]
+        w = g.neighbors[g.offsets[v] + s]
+        above = w > v
+        if _in_sorted(keys, u[above] * g.vertex_count + w[above]).any():
+            return True
+    return False
 
 
 def cycle_graph(m: int) -> Graph:

@@ -32,6 +32,12 @@ irregular graphs, which the iterative path rejects, up to the dense
 capacity DENSE_LIMIT_DEFAULT; the sectors on a flip graph whose largest
 block, block 0 with one row per rotation orbit, fits AUTO_DENSE_LIMIT;
 ARPACK otherwise.
+
+Every dense solve and reduction here calls scipy's LAPACK and BLAS
+(``scipy.linalg``, ``scipy.linalg.blas.ddot``), never ``numpy.linalg``:
+numpy and scipy each bundle their own OpenBLAS, and the first call into
+either one faults in its code and buffers, so one library per process
+keeps the peak RSS down.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import ddot
 
 from .errors import CapacityError, ConvergenceError, InvalidInputError
 from .flipgraph import Graph, _associahedron_cached, is_connected, reflection, rotation_orbits
@@ -98,7 +105,7 @@ def dense_spectrum(g: Graph) -> Spectrum:
     """Full symmetric eigendecomposition of the adjacency matrix."""
     if g.vertex_count > DENSE_LIMIT_DEFAULT:
         raise CapacityError(f"dense spectrum limited to {DENSE_LIMIT_DEFAULT} vertices")
-    vals = np.linalg.eigvalsh(g.dense_adjacency())
+    vals = scipy.linalg.eigvalsh(g.dense_adjacency(), driver="evd")
     return Spectrum(vals[::-1].copy())
 
 
@@ -268,11 +275,12 @@ def _choose_method(g: Graph, method: str) -> str:
 
 def _rayleigh(g: Graph, x: np.ndarray, method: str, iterations: int, tol: float) -> SpectralResult:
     """The answer a real vector gives: its Rayleigh quotient and residual on the full A."""
-    x = x / np.linalg.norm(x)
+    x = x / np.sqrt(ddot(x, x))
     u, v = g.arcs()
     ax = np.bincount(u, x[v], minlength=g.vertex_count)
-    value = float(x @ ax)
-    residual = float(np.linalg.norm(ax - value * x))
+    value = ddot(x, ax)
+    r = ax - value * x
+    residual = float(np.sqrt(ddot(r, r)))
     return SpectralResult(value, residual, method, iterations, tol, x)
 
 

@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flipspectra.errors import CapacityError, InvalidInputError, RangeError
@@ -100,6 +100,14 @@ def edge_lists(draw, max_vertices=30):
 
 @settings(max_examples=150, deadline=None)
 @given(edge_lists())
+# a star K1,40 with one edge between two leaves
+@example((41, [(0, i) for i in range(1, 41)] + [(39, 40)]))
+# the only triangle 0-1-12 closes through the last slot of vertex 1, of the highest degree
+@example((13, [(1, i) for i in [0, *range(2, 13)]] + [(0, 12)]))
+# isolated vertices around a triangle, and graphs with no edges
+@example((9, [(3, 4), (4, 5), (3, 5)]))
+@example((7, []))
+@example((0, []))
 def test_from_edges_and_triangle_check_match_oracles(case):
     nv, edges = case
     g = from_edges(nv, edges)

@@ -22,7 +22,7 @@ from flipspectra.flipgraph import (
     random_regular_graph,
     single_vertex,
 )
-from flipspectra import spectra
+from flipspectra import certify, spectra
 from flipspectra.reference import A6_SPECTRUM_CORRECTED
 from flipspectra.spectra import (
     AUTO_DENSE_LIMIT,
@@ -307,6 +307,23 @@ def test_sector_path_calls_lapack_on_real_arrays_only(assoc, monkeypatch):
             assert solver(assoc(n)).method == "sectors"
     assert {name for name, _ in seen} == {"eigh", "eigvalsh"}
     assert {dtype for _, dtype in seen} == {np.dtype(np.float64)}
+
+
+def test_solvers_and_certification_call_no_numpy_linalg(assoc, monkeypatch):
+    # numpy and scipy each bundle an OpenBLAS; the solver layer loads scipy's only
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("eigvalsh", "eigh", "norm"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    _sector_eigenvalues.cache_clear()
+    for g in (assoc(6), cycle_graph(5), petersen_graph()):
+        dense_spectrum(g)
+    paths = {6: ("auto", "dense"), 9: ("auto", "sectors"), 11: ("iterative", "iterative")}
+    for n, (method, path) in paths.items():
+        for solver in (lambda_min, lambda_2):
+            assert solver(assoc(n), method=method).method == path
+    assert all(r.passed for r in certify.run_certification(7))
 
 
 def _sector_answer(g, second):
