@@ -32,7 +32,7 @@ from .reference import (
 from .spectra import dense_spectrum
 from .triangulations import catalan
 
-COLLECTION_HOST_LIMIT = 5000
+COLLECTION_HOST_LIMIT = 20000
 COLLECTION_PATTERN_LIMIT = 12
 # candidate pairs one expansion step of the collection search may gather; a
 # larger frontier is cut into pieces of about this many pairs, so the working
@@ -180,11 +180,7 @@ def _search_plan(nk: int, edges: tuple[tuple[int, int], ...]) -> tuple[tuple, np
     return tuple(steps), ends
 
 
-def collection_stats(
-    g: Graph,
-    pattern: Graph,
-    host_limit: int | None = None,
-) -> CollectionStats:
+def collection_stats(g: Graph, pattern: Graph) -> CollectionStats:
     """Statistics of the maximal collection: all subgraphs isomorphic to the pattern.
 
     Copies are counted as subgraphs: a vertex set with the required edges
@@ -196,9 +192,10 @@ def collection_stats(
     symmetry-breaking", RECOMB 2007, LNCS 4453) admit exactly one embedding
     of each copy, so every copy is found once.
     """
-    host_cap = COLLECTION_HOST_LIMIT if host_limit is None else host_limit
-    if g.vertex_count > host_cap:
-        raise CapacityError(f"collection search limited to hosts with {host_cap} vertices")
+    if g.vertex_count > COLLECTION_HOST_LIMIT:
+        raise CapacityError(
+            f"collection search limited to hosts with {COLLECTION_HOST_LIMIT} vertices"
+        )
     if pattern.vertex_count > COLLECTION_PATTERN_LIMIT:
         raise CapacityError(
             f"collection search limited to patterns with {COLLECTION_PATTERN_LIMIT} vertices"
@@ -220,9 +217,7 @@ def collection_stats(
             continue
         if i == len(steps):
             copies += len(f)
-            np.add.at(per_vertex, f, 1)
-            a, b = f[:, ends[0]], f[:, ends[1]]
-            np.add.at(per_arc, np.searchsorted(keys, np.minimum(a, b) * nv + np.maximum(a, b)), 1)
+            _tally(keys, f, ends, per_vertex, per_arc)
             continue
         need, back, others, below = steps[i]
         pieces = -(-int(deg[f[:, back[0]]].sum()) // _SPLIT_PAIRS)
@@ -241,13 +236,25 @@ def collection_stats(
             row, cand = row[hit], cand[hit]
         stack.append((np.column_stack((f[row], cand)), i + 1))
 
-    return _stats(g, per_vertex.tolist(), per_arc, copies)
+    return _stats(g, per_vertex, per_arc, copies)
 
 
-def _stats(g: Graph, per_vertex, per_arc: np.ndarray, copies: int) -> CollectionStats:
+def _tally(keys: np.ndarray, copies: np.ndarray, ends: np.ndarray,
+           per_vertex: np.ndarray, per_arc: np.ndarray) -> None:
+    """Add copies, rows of host vertices, to the counts at their vertices and u < v arcs.
+
+    Each copy's edges join its columns ends[0] and ends[1]; ``keys`` is ``g.arc_keys()``.
+    """
+    np.add.at(per_vertex, copies, 1)
+    a, b = copies[:, ends[0]], copies[:, ends[1]]
+    edges = np.minimum(a, b) * len(per_vertex) + np.maximum(a, b)
+    np.add.at(per_arc, np.searchsorted(keys, edges), 1)
+
+
+def _stats(g: Graph, per_vertex: np.ndarray, per_arc: np.ndarray, copies: int) -> CollectionStats:
     """CollectionStats from per-vertex counts and per-arc counts held at the u < v arcs."""
     u, v = g.arcs()
-    per_vertex, per_edge = tuple(per_vertex), tuple(per_arc[u < v].tolist())
+    per_vertex, per_edge = tuple(per_vertex.tolist()), tuple(per_arc[u < v].tolist())
     return CollectionStats(min(per_vertex, default=0), max(per_edge, default=0),
                            per_vertex, per_edge, copies)
 
@@ -268,10 +275,9 @@ def collection_stats_from_copies(
     Copies describing the same subgraph collapse to one.
     """
     _require_edge(pattern)
-    pattern_edges = list(pattern.edges())
-    per_vertex = [0] * g.vertex_count
-    counted: list[tuple[int, int]] = []
-    seen: set[tuple[tuple[int, int], ...]] = set()
+    nv, keys = g.vertex_count, g.arc_keys()
+    ends = np.array(list(pattern.edges())).T
+    kept: dict[tuple[int, ...], list[int]] = {}  # sorted edge keys -> the first copy
     for copy in copies:
         copy = [int(v) for v in copy]
         if len(copy) != pattern.vertex_count:
@@ -280,26 +286,22 @@ def collection_stats_from_copies(
             )
         if len(set(copy)) != len(copy):
             raise InvalidInputError(f"copy {copy} repeats a vertex")
-        if any(not 0 <= v < g.vertex_count for v in copy):
+        if any(not 0 <= v < nv for v in copy):
             raise InvalidInputError(f"copy {copy} leaves the host vertex range")
-        edges = []
-        for u, v in pattern_edges:
-            gu, gv = copy[u], copy[v]
-            if not g.has_edge(gu, gv):
-                raise InvalidInputError(
-                    f"copy {copy} maps pattern edge ({u},{v}) to the non-edge ({gu},{gv})"
-                )
-            edges.append((min(gu, gv), max(gu, gv)))
-        key = tuple(sorted(edges))
-        if key in seen:
-            continue
-        seen.add(key)
-        for w in set(copy):
-            per_vertex[w] += 1
-        counted += edges
-    ends = np.array(counted, dtype=np.int64).reshape(-1, 2)
-    slots = np.searchsorted(g.arc_keys(), ends[:, 0] * g.vertex_count + ends[:, 1])
-    return _stats(g, per_vertex, np.bincount(slots, minlength=2 * g.edge_count), len(seen))
+        a, b = np.array(copy)[ends]
+        missing = np.flatnonzero(~_in_sorted(keys, a * nv + b))
+        if len(missing):
+            e = missing[0]
+            raise InvalidInputError(
+                f"copy {copy} maps pattern edge ({ends[0, e]},{ends[1, e]}) "
+                f"to the non-edge ({a[e]},{b[e]})"
+            )
+        kept.setdefault(tuple(np.sort(np.minimum(a, b) * nv + np.maximum(a, b)).tolist()), copy)
+    per_vertex = np.zeros(nv, dtype=np.int64)
+    per_arc = np.zeros(len(keys), dtype=np.int64)
+    found = np.array(list(kept.values()), dtype=np.int64).reshape(-1, pattern.vertex_count)
+    _tally(keys, found, ends, per_vertex, per_arc)
+    return _stats(g, per_vertex, per_arc, len(kept))
 
 
 def theorem_bound(d: int, k: int, lam_min_pattern: float, m: int, t: int) -> float:

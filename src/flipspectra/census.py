@@ -18,11 +18,13 @@ checks and a whole-graph support enumeration.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
+from . import bounds
 from .bounds import CollectionStats, _stats, collection_stats
 from .errors import CapacityError, InvalidInputError
 from .flipgraph import Graph, _flip_pass, build_associahedron, cycle_graph
@@ -36,12 +38,15 @@ from .triangulations import (
     validate_diagonal,
 )
 
-CENSUS_LIMIT_DEFAULT = 20000
+# the censuses' flip pass of the last n, so the census command runs one pass;
+# the flip graph's build runs its own, which it sorts in place
+_flips = lru_cache(maxsize=1)(_flip_pass)
 
 
 def _check_census_size(g: Graph) -> None:
-    if g.vertex_count > CENSUS_LIMIT_DEFAULT:
-        raise CapacityError(f"census oracle limited to {CENSUS_LIMIT_DEFAULT} vertices")
+    # the oracles share the collection search's host cap
+    if g.vertex_count > bounds.COLLECTION_HOST_LIMIT:
+        raise CapacityError(f"census oracle limited to {bounds.COLLECTION_HOST_LIMIT} vertices")
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +120,11 @@ def pentagon_census_oracle(n: int, max_n: int | None = None) -> CollectionStats:
     """The 5-cycles of the flip graph by the array copy search.
 
     Counts the subgraph copies of C5, which are exactly the 5-cycles, with
-    ``bounds.collection_stats`` under the census cap CENSUS_LIMIT_DEFAULT.
+    ``bounds.collection_stats``; a host over its cap is refused as a census.
     """
     g = build_associahedron(n, max_n)
     _check_census_size(g)
-    return collection_stats(g, cycle_graph(5), host_limit=CENSUS_LIMIT_DEFAULT)
+    return collection_stats(g, cycle_graph(5))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +220,7 @@ def hexagon_census_oracle(n: int, max_n: int | None = None) -> CollectionStats:
         inside[keep] = True
         per_arc[slots[inside[g.neighbors[slots]]]] += 1
         inside[keep] = False
-    return _stats(g, per_vertex.tolist(), per_arc, count)
+    return _stats(g, per_vertex, per_arc, count)
 
 
 # ---------------------------------------------------------------------------
@@ -271,27 +276,22 @@ def ear_counts(n: int, max_n: int | None = None) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # the censuses
 
-def pentagon_census(
-    n: int, max_n: int | None = None, *, _flips: tuple[np.ndarray, ...] | None = None
-) -> CollectionStats:
+def pentagon_census(n: int, max_n: int | None = None) -> CollectionStats:
     """5-cycles through each vertex and each edge of the flip graph.
 
     Through the flip edge of ab: the diagonal sides of the quadrilateral
     apbq, d_p + d_q - 2.  Through a vertex: the sum of C(d, 2) over its
-    dual tree, which is half the sum of its edges' counts.  ``_flips`` is
-    ``_flip_pass(n)`` when the caller already holds it.
+    dual tree, which is half the sum of its edges' counts.
     """
     if n < 5:
         raise InvalidInputError("pentagon census needs n >= 5")
     _check_range(n, max_n)
-    _, a, b, p, q, target = _flip_pass(n) if _flips is None else _flips
+    _, a, b, p, q, target = _flips(n)
     edge = _degree(n, a, b, p) + _degree(n, a, b, q) - 2
     return _census_stats(edge.sum(axis=1) // 2, target, edge, 5)
 
 
-def hexagon_census(
-    n: int, max_n: int | None = None, *, _flips: tuple[np.ndarray, ...] | None = None
-) -> CollectionStats:
+def hexagon_census(n: int, max_n: int | None = None) -> CollectionStats:
     """Hexagon-flip subgraphs through each vertex and each edge of the flip graph.
 
     Through a vertex: the 4-node subtrees of its dual tree, paths
@@ -299,13 +299,12 @@ def hexagon_census(
     3.  Through the flip edge of ab, whose quadrilateral apbq has c
     diagonal sides: C(c, 2) merges with two triangles across distinct
     sides, plus, per diagonal side xy, one merge with each further
-    diagonal side of the triangle xyz across it.  ``_flips`` is
-    ``_flip_pass(n)`` when the caller already holds it.
+    diagonal side of the triangle xyz across it.
     """
     if n < 6:
         raise InvalidInputError("hexagon census needs n >= 6")
     _check_range(n, max_n)
-    masks, a, b, p, q, target = _flip_pass(n) if _flips is None else _flips
+    masks, a, b, p, q, target = _flips(n)
     dp, dq = _degree(n, a, b, p), _degree(n, a, b, q)
     stars = ((dp == 3).sum(axis=1) + (dq == 3).sum(axis=1)) // 3  # seen once per side
     c = dp + dq - 2

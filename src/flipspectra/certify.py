@@ -69,14 +69,6 @@ def _claim_structure(n_max: int) -> ClaimResult:
     return _claim("flip-graph-structure", bad, scope)
 
 
-def _pentagon_stats(n_max: int) -> dict[int, bounds.CollectionStats]:
-    """The 5-cycles of A5..A9 (capped by n_max), one copy search per graph."""
-    return {
-        n: bounds.collection_stats(build_associahedron(n), cycle_graph(5))
-        for n in range(5, min(n_max, 9) + 1)
-    }
-
-
 def _claim_pentagon_census(pentagons: dict[int, bounds.CollectionStats]) -> ClaimResult:
     if not pentagons:
         return _claim("pentagon-census", [], "vacuous: no 5-cycles below n=5")
@@ -206,7 +198,8 @@ def run_certification(n_max: int, seed: int = 0) -> list[ClaimResult]:
     """Run every claim up to n_max; heavier census/slice claims self-cap."""
     if n_max < 4:
         raise InvalidInputError("certification needs n_max >= 4")
-    pentagons = _pentagon_stats(n_max)  # shared by the census and collection claims
+    # the 5-cycles of A5..A9, one copy search per graph, serve the census and collection claims
+    pentagons = {n: census.pentagon_census_oracle(n) for n in range(5, min(n_max, 9) + 1)}
     results = [
         _claim_structure(n_max),
         _claim_pentagon_census(pentagons),

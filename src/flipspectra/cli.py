@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bounds, census, certify, spectra, walk
 from .errors import CapacityError, ConvergenceError, InvalidInputError
-from .flipgraph import _flip_pass, build_associahedron, write_edge_list
+from .flipgraph import build_associahedron, write_edge_list
 from .reference import LAMBDA_2_TABLE, LAMBDA_MIN_TABLE, check_reference
 from .triangulations import enumerate_triangulations
 
@@ -135,16 +135,16 @@ def cmd_spectrum(args) -> int:
 
 def cmd_census(args) -> int:
     t1 = census.ear_counts(args.n, args.max_n)
-    flips = _flip_pass(args.n)  # one flip pass serves both censuses
-    pent = census.pentagon_census(args.n, args.max_n, _flips=flips)
+    pent = census.pentagon_census(args.n, args.max_n)
     if args.oracle:
         pent_oracle = census.pentagon_census_oracle(args.n, args.max_n)
-    hexa = census.hexagon_census(args.n, args.max_n, _flips=flips) if args.n >= 6 else None
+    hexa = census.hexagon_census(args.n, args.max_n) if args.n >= 6 else None
     if args.oracle and hexa:
         hexa_oracle = census.hexagon_census_oracle(args.n, args.max_n)
     if args.edges:
-        u, i = census._edge_slots(flips[-1])  # the flip graph's edges, from the same pass
-        columns = {"u": u.tolist(), "v": flips[-1][u, i].tolist(), "pentagon_count": pent.per_edge}
+        target = census._flips(args.n)[-1]  # the flip graph's edges, from the censuses' pass
+        u, i = census._edge_slots(target)
+        columns = {"u": u.tolist(), "v": target[u, i].tolist(), "pentagon_count": pent.per_edge}
         hexa_name, per = "hexagon_count", "per_edge"
     else:
         columns = {"vertex_index": range(len(t1)), "t1": t1, "pentagon_formula": pent.per_vertex}

@@ -1,0 +1,34 @@
+"""Guards on the shape of flipspectra's public functions."""
+
+import importlib
+import inspect
+import pkgutil
+
+import flipspectra
+
+
+def public_functions():
+    """(qualified name, callable) of every public function and public method of flipspectra."""
+    for info in pkgutil.iter_modules(flipspectra.__path__):
+        if info.name == "__main__":  # running it is the CLI
+            continue
+        module = importlib.import_module(f"flipspectra.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+            elif callable(obj):
+                yield f"{module.__name__}.{name}", obj
+
+
+def test_no_public_function_takes_a_private_parameter():
+    # a parameter named _x is an internal hand-off; the callee should own the shared value
+    params = {name: inspect.signature(fn).parameters for name, fn in public_functions()}
+    assert len(params) > 70
+    assert "flipspectra.census.pentagon_census" in params
+    assert "flipspectra.flipgraph.Graph.arc_keys" in params
+    private = {name: [p for p in ps if p.startswith("_")] for name, ps in params.items()}
+    assert {name: ps for name, ps in private.items() if ps} == {}

@@ -445,6 +445,33 @@ def test_collection_from_copies_rejects_non_copy():
         collection_stats_from_copies(p, cycle_graph(5), [[0, 1, 2, 3, 7]])
 
 
+def five_cycles(g):
+    """Every 5-cycle of g once, r-a-b-c-d from its least vertex r with a < d, by path search."""
+    adj = g.adjacency_sets()
+    found = []
+    for r in range(g.vertex_count):
+        for a in adj[r]:
+            for b in adj[a] - {r}:
+                for c in adj[b] - {r, a}:
+                    for d in adj[c] & adj[r] - {a, b}:
+                        if min(a, b, c, d) > r and a < d:
+                            found.append([r, a, b, c, d])
+    return found
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_listed_collection_equals_the_search(n):
+    # every 5-cycle, listed, is tallied to the search's own statistics
+    g = build_associahedron(n)
+    cycles = five_cycles(g)
+    searched = collection_stats(g, cycle_graph(5))
+    assert len(cycles) == searched.copy_count
+    assert collection_stats_from_copies(g, cycle_graph(5), cycles) == searched
+    # the same subgraphs again, reversed and rotated, collapse to one copy each
+    again = [c[::-1] for c in cycles] + [c[2:] + c[:2] for c in cycles]
+    assert collection_stats_from_copies(g, cycle_graph(5), again + cycles) == searched
+
+
 @pytest.mark.parametrize("eps", [2.0, 1.0, 0.0, -0.5, math.nan])
 @pytest.mark.parametrize("lam2", [None, 4.383407])
 def test_flipgraph_bound_reports_check_eps_first(eps, lam2):

@@ -275,9 +275,11 @@ def test_census_reports():
 
 
 def test_oracle_capacity(monkeypatch):
+    # the oracles share the collection search's one host cap
+    assert not hasattr(census, "CENSUS_LIMIT_DEFAULT")
     g = build_associahedron(6)
-    monkeypatch.setattr(census, "CENSUS_LIMIT_DEFAULT", 5)
-    with pytest.raises(CapacityError):
+    monkeypatch.setattr(bounds, "COLLECTION_HOST_LIMIT", 5)
+    with pytest.raises(CapacityError, match="^census oracle limited to 5 vertices$"):
         pentagon_count_vertex_oracle(g, 0)
 
 
@@ -306,14 +308,23 @@ def test_pentagon_census_oracle_uses_no_path_search(monkeypatch):
 
 
 def test_pentagon_census_oracle_keeps_the_census_cap(monkeypatch):
-    # A7 has 42 vertices
-    monkeypatch.setattr(census, "CENSUS_LIMIT_DEFAULT", 41)
-    with pytest.raises(CapacityError, match="census oracle limited to 41 vertices"):
+    assert bounds.COLLECTION_HOST_LIMIT == 20000
+    # A7 has 42 vertices; the oracle refuses a host over the cap as a census
+    monkeypatch.setattr(bounds, "COLLECTION_HOST_LIMIT", 41)
+    with pytest.raises(CapacityError, match="^census oracle limited to 41 vertices$"):
         pentagon_census_oracle(7)
-    # the census cap, not the collection search's own default, bounds the host
-    monkeypatch.setattr(bounds, "COLLECTION_HOST_LIMIT", 10)
-    monkeypatch.setattr(census, "CENSUS_LIMIT_DEFAULT", 42)
+    with pytest.raises(CapacityError, match="^collection search limited to hosts with 41 vertices$"):
+        bounds.collection_stats(build_associahedron(7), cycle_graph(5))
+    monkeypatch.setattr(bounds, "COLLECTION_HOST_LIMIT", 42)
     assert pentagon_census_oracle(7) == pentagon_census(7)
+
+
+@pytest.mark.parametrize("n", range(6, 10))
+def test_hexagon_oracle_equals_the_collection_search(monkeypatch, n):
+    # a third route: the hexagon-flip subgraphs are the subgraph copies of A6
+    monkeypatch.setattr(bounds, "COLLECTION_PATTERN_LIMIT", 14)
+    searched = bounds.collection_stats(build_associahedron(n), build_associahedron(6))
+    assert searched == hexagon_census_oracle(n)
 
 
 def test_hexagon_support_oracle_needs_a_hexagon():
@@ -321,10 +332,21 @@ def test_hexagon_support_oracle_needs_a_hexagon():
         hexagon_census_oracle(5)
 
 
-def test_census_reports_read_a_given_flip_pass():
+def test_census_reports_read_a_given_flip_pass(monkeypatch):
+    want = pentagon_census(9), hexagon_census(9)
     flips = _flip_pass(9)
-    assert pentagon_census(9, _flips=flips) == pentagon_census(9)
-    assert hexagon_census(9, _flips=flips) == hexagon_census(9)
+    monkeypatch.setattr(census, "_flips", lambda n: flips if n == 9 else pytest.fail(f"n={n}"))
+    assert (pentagon_census(9), hexagon_census(9)) == want
+
+
+def test_census_reports_share_one_flip_pass_per_n():
+    census._flips.cache_clear()
+    pentagon_census(9), hexagon_census(9), pentagon_census(9)
+    assert census._flips.cache_info()[:2] == (2, 1)  # (hits, misses)
+    hexagon_census(8), hexagon_census(9)
+    assert census._flips.cache_info()[:2] == (2, 3)
+    # the flip graph's build keeps its own pass, which it sorts in place
+    assert census._flips(9)[-1] is not build_associahedron(9).neighbors.base
 
 
 @pytest.mark.parametrize("n", range(5, 12))
@@ -341,15 +363,8 @@ def test_census_edges_do_not_build_the_flip_graph(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("extra", [[], ["--edges"], ["--oracle"], ["--oracle", "--edges"]])
-def test_census_command_runs_one_flip_pass(monkeypatch, capsys, extra):
-    calls = []
-
-    def counted(n):
-        calls.append(n)
-        return _flip_pass(n)
-
-    monkeypatch.setattr(cli, "_flip_pass", counted)
-    monkeypatch.setattr(census, "_flip_pass", lambda n: pytest.fail("census ran its own pass"))
+def test_census_command_runs_one_flip_pass(capsys, extra):
+    census._flips.cache_clear()
     assert cli.main(["census", "--n", "8", *extra]) == 0
-    assert calls == [8]
+    assert census._flips.cache_info().misses == 1
     assert capsys.readouterr().out

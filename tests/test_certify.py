@@ -1,8 +1,9 @@
+import sys
 from collections import Counter
 
 import pytest
 
-from flipspectra import bounds, certify
+from flipspectra import bounds, census, certify
 from flipspectra.reference import LAMBDA_2_TABLE, LAMBDA_MIN_TABLE, check_reference
 from flipspectra.triangulations import catalan
 
@@ -18,11 +19,18 @@ def test_certification_searches_each_flip_graph_for_pentagons_once(monkeypatch):
     searched = []
     search = bounds.collection_stats
 
-    def spy(g, pattern, *args, **kwargs):
+    def spy(g, pattern):
         searched.append((g.vertex_count, pattern.vertex_count, pattern.edge_count))
-        return search(g, pattern, *args, **kwargs)
+        return search(g, pattern)
 
-    monkeypatch.setattr(bounds, "collection_stats", spy)
+    # every flipspectra namespace that holds the search, as the benchmark tracer patches it
+    holders = [
+        module for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "flipspectra" and vars(module).get("collection_stats") is search
+    ]
+    assert {census, bounds} <= set(holders)
+    for module in holders:
+        monkeypatch.setattr(module, "collection_stats", spy)
     results = certify.run_certification(10)
     assert all(r.passed for r in results)
     # no other host of the suite has a Catalan number of vertices
