@@ -52,12 +52,15 @@ def holds(lower: float, upper: float) -> bool:
 
 @dataclass(frozen=True)
 class CollectionStats:
-    """Incidence statistics of all copies of a pattern graph inside a host.
+    """Incidence statistics of a collection of copies of a pattern graph inside a host.
 
-    ``per_vertex`` counts the copies through each host vertex, in vertex
-    order; ``per_edge`` counts the copies through each host edge, in the
-    order of ``Graph.edges()``, with 0 where no copy passes.  m is the
-    minimum of per_vertex and t the maximum of per_edge (0 when empty).
+    The copies are all of them (``collection_stats``), a listed set
+    (``collection_stats_from_copies``), or a census's pentagons or
+    hexagon-flip subgraphs.  ``per_vertex`` counts the copies through each
+    host vertex, in vertex order; ``per_edge`` counts the copies through
+    each host edge, in the order of ``Graph.edges()``, with 0 where no copy
+    passes.  m is the minimum of per_vertex and t the maximum of per_edge
+    (0 when empty).  Every instance is built by ``_stats``.
     """
 
     m: int
@@ -236,7 +239,7 @@ def collection_stats(g: Graph, pattern: Graph) -> CollectionStats:
             row, cand = row[hit], cand[hit]
         stack.append((np.column_stack((f[row], cand)), i + 1))
 
-    return _stats(g, per_vertex, per_arc, copies)
+    return _stats(per_vertex, per_arc[np.less(*g.arcs())], copies)
 
 
 def _tally(keys: np.ndarray, copies: np.ndarray, ends: np.ndarray,
@@ -251,12 +254,11 @@ def _tally(keys: np.ndarray, copies: np.ndarray, ends: np.ndarray,
     np.add.at(per_arc, np.searchsorted(keys, edges), 1)
 
 
-def _stats(g: Graph, per_vertex: np.ndarray, per_arc: np.ndarray, copies: int) -> CollectionStats:
-    """CollectionStats from per-vertex counts and per-arc counts held at the u < v arcs."""
-    u, v = g.arcs()
-    per_vertex, per_edge = tuple(per_vertex.tolist()), tuple(per_arc[u < v].tolist())
+def _stats(per_vertex: np.ndarray, per_edge: np.ndarray, copies: int) -> CollectionStats:
+    """CollectionStats from counts per vertex and per edge, in ``Graph.edges()`` order."""
+    per_vertex, per_edge = tuple(per_vertex.tolist()), tuple(per_edge.tolist())
     return CollectionStats(min(per_vertex, default=0), max(per_edge, default=0),
-                           per_vertex, per_edge, copies)
+                           per_vertex, per_edge, int(copies))
 
 
 def _require_edge(pattern: Graph) -> None:
@@ -301,7 +303,7 @@ def collection_stats_from_copies(
     per_arc = np.zeros(len(keys), dtype=np.int64)
     found = np.array(list(kept.values()), dtype=np.int64).reshape(-1, pattern.vertex_count)
     _tally(keys, found, ends, per_vertex, per_arc)
-    return _stats(g, per_vertex, per_arc, len(kept))
+    return _stats(per_vertex, per_arc[np.less(*g.arcs())], len(kept))
 
 
 def theorem_bound(d: int, k: int, lam_min_pattern: float, m: int, t: int) -> float:

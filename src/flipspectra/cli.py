@@ -252,6 +252,8 @@ def cmd_walk(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if args.n_max < 5:
+        raise InvalidInputError("table needs --n-max >= 5")
     table = LAMBDA_MIN_TABLE if args.kind == "lambda_min" else LAMBDA_2_TABLE
     solver = spectra.lambda_min if args.kind == "lambda_min" else spectra.lambda_2
     fh = io.StringIO()

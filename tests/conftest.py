@@ -18,7 +18,7 @@ def assoc():
 
 @pytest.fixture(scope="session")
 def lambda_min_values(assoc):
-    """Computed lambda_min for n = 4..12: dense through n = 8, ARPACK from n = 9."""
+    """Computed lambda_min for n = 4..12: dense through n = 8, sectors at 9 and 10, then ARPACK."""
     return {n: lambda_min(assoc(n), seed=0).value for n in range(4, 13)}
 
 

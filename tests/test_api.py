@@ -1,8 +1,10 @@
 """Guards on the shape of flipspectra's public functions."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import flipspectra
 
@@ -32,3 +34,29 @@ def test_no_public_function_takes_a_private_parameter():
     assert "flipspectra.flipgraph.Graph.arc_keys" in params
     private = {name: [p for p in ps if p.startswith("_")] for name, ps in params.items()}
     assert {name: ps for name, ps in private.items() if ps} == {}
+
+
+def test_only_bounds_stats_constructs_collection_stats():
+    # one constructor: every census, oracle and copy collection is counted through bounds._stats
+    callers = []
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self, module):
+            self.where = [module]
+
+        def visit_FunctionDef(self, node):
+            self.where.append(node.name)
+            self.generic_visit(node)
+            self.where.pop()
+
+        visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+        def visit_Call(self, node):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "CollectionStats":
+                callers.append(".".join(self.where))
+            self.generic_visit(node)
+
+    for path in sorted(Path(flipspectra.__file__).parent.glob("*.py")):
+        Calls(path.stem).visit(ast.parse(path.read_text()))
+    assert callers == ["bounds._stats"]

@@ -238,7 +238,7 @@ def test_hexagon_edge_single_class_n6():
     assert hexagon_census(6).per_edge == (1,) * 21
 
 
-@pytest.mark.parametrize("n", range(6, 12))
+@pytest.mark.parametrize("n", range(6, 13))
 def test_hexagon_edge_matches_support_oracle(n):
     oracle = hexagon_census_oracle(n)
     assert len(oracle.per_edge) == build_associahedron(n).edge_count
@@ -317,6 +317,15 @@ def test_pentagon_census_oracle_keeps_the_census_cap(monkeypatch):
         bounds.collection_stats(build_associahedron(7), cycle_graph(5))
     monkeypatch.setattr(bounds, "COLLECTION_HOST_LIMIT", 42)
     assert pentagon_census_oracle(7) == pentagon_census(7)
+
+
+def test_hexagon_census_oracle_keeps_the_census_cap(monkeypatch):
+    # A7 has 42 vertices; every oracle shares the collection search's one host cap
+    monkeypatch.setattr(bounds, "COLLECTION_HOST_LIMIT", 41)
+    with pytest.raises(CapacityError, match="^census oracle limited to 41 vertices$"):
+        hexagon_census_oracle(7)
+    monkeypatch.setattr(bounds, "COLLECTION_HOST_LIMIT", 42)
+    assert hexagon_census_oracle(7) == hexagon_census(7)
 
 
 @pytest.mark.parametrize("n", range(6, 10))

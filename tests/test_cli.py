@@ -274,6 +274,18 @@ def test_certify_suite_below_n4_is_input_error(capsys):
     assert out == "" and "input error" in err
 
 
+@pytest.mark.parametrize("kind", ["lambda_min", "lambda_2"])
+def test_table_below_n5_is_input_error(capsys, tmp_path, kind):
+    code, out, err = run_cli(capsys, "table", "--kind", kind, "--n-max", "4")
+    assert code == 2
+    assert out == "" and err == "input error: table needs --n-max >= 5\n"
+    target = tmp_path / "table.txt"
+    code, out, err = run_cli(capsys, "table", "--kind", kind, "--n-max", "4", "--out", str(target))
+    assert code == 2
+    assert out == "" and "input error" in err
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_spectrum_rejects_nonpositive_tol(capsys, tol):
     code, out, err = run_cli(capsys, "spectrum", "--n", "6", "--tol", tol)
