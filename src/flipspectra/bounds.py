@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -34,10 +34,10 @@ from .triangulations import catalan
 
 COLLECTION_HOST_LIMIT = 20000
 COLLECTION_PATTERN_LIMIT = 12
-# candidate pairs one expansion step of the collection search may gather; a
-# larger frontier is cut into pieces of about this many pairs, so the working
-# set does not grow with the host.  2^14 ran about a fifth faster but lifted
-# the peak RSS of bounds --certify --n-max 10 by about 0.5 MB.
+# candidate pairs one step of the collection search gathers, and copy edges
+# _count tallies, at a time: larger work is cut into pieces of about this many,
+# so the working set does not grow with the host.  2^14 ran about a fifth faster
+# but lifted the peak RSS of bounds --certify --n-max 10 by about 0.5 MB.
 _SPLIT_PAIRS = 1 << 12
 
 # float error allowed in a computed eigenvalue: the solvers stop at a residual
@@ -206,21 +206,19 @@ def collection_stats(g: Graph, pattern: Graph) -> CollectionStats:
     _require_edge(pattern)
 
     steps, ends = _search_plan(pattern.vertex_count, tuple(pattern.edges()))
+    return _count(g, ends, _embeddings(g, steps))
 
-    nv = g.vertex_count
-    deg = g.degrees()
-    keys = g.arc_keys()
-    per_vertex = np.zeros(nv, dtype=np.int64)
-    per_arc = np.zeros(len(keys), dtype=np.int64)
-    copies = 0
+
+def _embeddings(g: Graph, steps: tuple) -> Iterator[np.ndarray]:
+    """Each completed frontier of the collection search: rows of host vertices, one per copy."""
+    deg, keys = g.degrees(), g.arc_keys()
     stack = [(np.flatnonzero(deg >= steps[0][0])[:, None], 1)]
     while stack:
         f, i = stack.pop()
         if not len(f):
             continue
         if i == len(steps):
-            copies += len(f)
-            _tally(keys, f, ends, per_vertex, per_arc)
+            yield f
             continue
         need, back, others, below = steps[i]
         pieces = -(-int(deg[f[:, back[0]]].sum()) // _SPLIT_PAIRS)
@@ -235,23 +233,36 @@ def collection_stats(g: Graph, pattern: Graph) -> CollectionStats:
             ok &= f[row, j] < cand
         row, cand = row[ok], cand[ok]
         for j in back[1:]:
-            hit = _in_sorted(keys, f[row, j] * nv + cand)
+            hit = _in_sorted(keys, f[row, j] * g.vertex_count + cand)
             row, cand = row[hit], cand[hit]
         stack.append((np.column_stack((f[row], cand)), i + 1))
 
-    return _stats(per_vertex, per_arc[np.less(*g.arcs())], copies)
 
+def _count(g: Graph, ends: np.ndarray, blocks: Iterable[np.ndarray]) -> CollectionStats:
+    """CollectionStats of copies handed over in blocks, each block rows of host vertices.
 
-def _tally(keys: np.ndarray, copies: np.ndarray, ends: np.ndarray,
-           per_vertex: np.ndarray, per_arc: np.ndarray) -> None:
-    """Add copies, rows of host vertices, to the counts at their vertices and u < v arcs.
-
-    Each copy's edges join its columns ends[0] and ends[1]; ``keys`` is ``g.arc_keys()``.
+    Each copy's edges join its columns ends[0] and ends[1].  A block is
+    tallied in pieces of about _SPLIT_PAIRS edges.  Every caller hands over
+    checked copies, so a copy edge the host lacks is a program fault and
+    raises RuntimeError.
     """
-    np.add.at(per_vertex, copies, 1)
-    a, b = copies[:, ends[0]], copies[:, ends[1]]
-    edges = np.minimum(a, b) * len(per_vertex) + np.maximum(a, b)
-    np.add.at(per_arc, np.searchsorted(keys, edges), 1)
+    nv = g.vertex_count
+    keys = g.arc_keys()[np.less(*g.arcs())]  # the host's edges, in Graph.edges() order
+    per_vertex, per_edge = np.zeros(nv, dtype=np.int64), np.zeros(len(keys), dtype=np.int64)
+    copies, rows = 0, max(1, _SPLIT_PAIRS // ends.shape[1])  # rows: the copies in a piece
+    for block in blocks:
+        copies += len(block)
+        for piece in (block[i:i + rows] for i in range(0, len(block), rows)):
+            np.add.at(per_vertex, piece, 1)
+            a, b = piece[:, ends[0]], piece[:, ends[1]]
+            edges = np.minimum(a, b) * nv + np.maximum(a, b)
+            at = np.searchsorted(keys, edges)
+            lacking = keys.take(at, mode="clip") != edges
+            if lacking.any():
+                x, y = divmod(int(edges[lacking][0]), nv)
+                raise RuntimeError(f"copy edge ({x},{y}) is not an edge of the host")
+            np.add.at(per_edge, at, 1)
+    return _stats(per_vertex, per_edge, copies)
 
 
 def _stats(per_vertex: np.ndarray, per_edge: np.ndarray, copies: int) -> CollectionStats:
@@ -299,11 +310,8 @@ def collection_stats_from_copies(
                 f"to the non-edge ({a[e]},{b[e]})"
             )
         kept.setdefault(tuple(np.sort(np.minimum(a, b) * nv + np.maximum(a, b)).tolist()), copy)
-    per_vertex = np.zeros(nv, dtype=np.int64)
-    per_arc = np.zeros(len(keys), dtype=np.int64)
     found = np.array(list(kept.values()), dtype=np.int64).reshape(-1, pattern.vertex_count)
-    _tally(keys, found, ends, per_vertex, per_arc)
-    return _stats(per_vertex, per_arc[np.less(*g.arcs())], len(kept))
+    return _count(g, ends, [found])
 
 
 def theorem_bound(d: int, k: int, lam_min_pattern: float, m: int, t: int) -> float:

@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from . import bounds
-from .bounds import CollectionStats, _stats, _tally, collection_stats
+from .bounds import CollectionStats, _count, _stats, collection_stats
 from .errors import CapacityError, InvalidInputError
 from .flipgraph import Graph, _flip_pass, build_associahedron, cycle_graph
 from .triangulations import (
@@ -34,6 +34,7 @@ from .triangulations import (
     _id_rows,
     _pair_ids,
     _row_index,
+    catalan,
     polygon_regions,
     validate_diagonal,
 )
@@ -43,9 +44,9 @@ from .triangulations import (
 _flips = lru_cache(maxsize=1)(_flip_pass)
 
 
-def _check_census_size(g: Graph) -> None:
+def _check_census_size(vertex_count: int) -> None:
     # the oracles share the collection search's host cap
-    if g.vertex_count > bounds.COLLECTION_HOST_LIMIT:
+    if vertex_count > bounds.COLLECTION_HOST_LIMIT:
         raise CapacityError(f"census oracle limited to {bounds.COLLECTION_HOST_LIMIT} vertices")
 
 
@@ -54,7 +55,7 @@ def _check_census_size(g: Graph) -> None:
 
 def pentagon_count_vertex_oracle(g: Graph, v: int) -> int:
     """Exact 5-cycle count through vertex v by simple-path search."""
-    _check_census_size(g)
+    _check_census_size(g.vertex_count)
     adj = g.adjacency_sets()
     count = 0
     for a in adj[v]:
@@ -75,7 +76,7 @@ def pentagon_count_vertex_oracle(g: Graph, v: int) -> int:
 
 def pentagon_count_edge_oracle(g: Graph, u: int, v: int) -> int:
     """Exact 5-cycle count through edge uv by simple-path search."""
-    _check_census_size(g)
+    _check_census_size(g.vertex_count)
     if not g.has_edge(u, v):
         raise InvalidInputError(f"({u},{v}) is not an edge")
     adj = g.adjacency_sets()
@@ -94,7 +95,7 @@ def pentagon_count_edge_oracle(g: Graph, u: int, v: int) -> int:
 
 def count_pentagons_total(g: Graph) -> int:
     """Number of distinct 5-cycles in g, by rooted simple-path enumeration."""
-    _check_census_size(g)
+    _check_census_size(g.vertex_count)
     adj = g.adjacency_sets()
     total = 0
     for r in range(g.vertex_count):
@@ -122,9 +123,9 @@ def pentagon_census_oracle(n: int, max_n: int | None = None) -> CollectionStats:
     Counts the subgraph copies of C5, which are exactly the 5-cycles, with
     ``bounds.collection_stats``; a host over its cap is refused as a census.
     """
-    g = build_associahedron(n, max_n)
-    _check_census_size(g)
-    return collection_stats(g, cycle_graph(5))
+    _check_range(n, max_n)
+    _check_census_size(catalan(n - 2))  # before the build
+    return collection_stats(build_associahedron(n, max_n), cycle_graph(5))
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +200,12 @@ def hexagon_census_oracle(n: int, max_n: int | None = None) -> CollectionStats:
     Each support set is one copy of A6: its vertices are the
     triangulations containing it, its n - 6 diagonals plus one of the 14
     triangulations of its hexagon, looked up by their id rows, and its
-    edges are the flips inside the hexagon.  The copies are tallied like
-    the collection search's, under the same host cap.  Independent of the
-    dual-tree arithmetic of the formula route.
+    edges are the flips inside the hexagon, which ``bounds._count`` checks
+    as it tallies them.  Independent of the dual-tree arithmetic of the
+    formula route.
     """
-    g = build_associahedron(n, max_n)
-    _check_census_size(g)
+    _check_range(n, max_n)
+    _check_census_size(catalan(n - 2))  # before the build
     corners, held = _hexagon_faces(n)
     count = len(corners)
     # the hexagon's triangulations on the face's corners
@@ -215,14 +216,7 @@ def hexagon_census_oracle(n: int, max_n: int | None = None) -> CollectionStats:
     verts = _row_index(n, rows.reshape(-1, n - 3)).reshape(count, -1)
     # column j of verts is A6's vertex j, so a support's edges are A6's edges
     ends = np.array(list(build_associahedron(6, 6).edges())).T
-    keys = g.arc_keys()
-    per_vertex = np.zeros(g.vertex_count, dtype=np.int64)
-    per_arc = np.zeros(len(keys), dtype=np.int64)
-    # blocks of about _SPLIT_PAIRS edges: one block of all supports raised the peak RSS
-    # of census --n 12 --oracle from 76 to 84 MB
-    for block in np.array_split(verts, -(-count * ends.shape[1] // bounds._SPLIT_PAIRS)):
-        _tally(keys, block, ends, per_vertex, per_arc)
-    return _stats(per_vertex, per_arc[np.less(*g.arcs())], count)
+    return _count(build_associahedron(n, max_n), ends, [verts])
 
 
 # ---------------------------------------------------------------------------

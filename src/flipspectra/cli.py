@@ -23,7 +23,7 @@ from . import bounds, census, certify, spectra, walk
 from .errors import CapacityError, ConvergenceError, InvalidInputError
 from .flipgraph import build_associahedron, write_edge_list
 from .reference import LAMBDA_2_TABLE, LAMBDA_MIN_TABLE, check_reference
-from .triangulations import enumerate_triangulations
+from .triangulations import _check_range, enumerate_triangulations
 
 EXIT_OK = 0
 EXIT_CLAIM = 1
@@ -134,10 +134,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_census(args) -> int:
+    if args.oracle:  # first: it refuses a host over the oracles' cap before any census
+        pent_oracle = census.pentagon_census_oracle(args.n, args.max_n)
     t1 = census.ear_counts(args.n, args.max_n)
     pent = census.pentagon_census(args.n, args.max_n)
-    if args.oracle:
-        pent_oracle = census.pentagon_census_oracle(args.n, args.max_n)
     hexa = census.hexagon_census(args.n, args.max_n) if args.n >= 6 else None
     if args.oracle and hexa:
         hexa_oracle = census.hexagon_census_oracle(args.n, args.max_n)
@@ -254,6 +254,8 @@ def cmd_walk(args) -> int:
 def cmd_table(args) -> int:
     if args.n_max < 5:
         raise InvalidInputError("table needs --n-max >= 5")
+    for n in range(5, args.n_max + 1):  # refuse an n over the cap before the first solve
+        _check_range(n, None)
     table = LAMBDA_MIN_TABLE if args.kind == "lambda_min" else LAMBDA_2_TABLE
     solver = spectra.lambda_min if args.kind == "lambda_min" else spectra.lambda_2
     fh = io.StringIO()

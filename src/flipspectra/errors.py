@@ -14,10 +14,10 @@ class CapacityError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative solver ran out of iterations.
+    """A solve left a residual above its tolerance.
 
-    The best estimate reached so far is attached as ``best`` (a
-    SpectralResult) so callers can inspect how close the run got.
+    The rejected answer is attached as ``best`` (a SpectralResult) so
+    callers can inspect how close the solve got.
     """
 
     def __init__(self, message, best=None):

@@ -22,8 +22,8 @@ lifted to the whole graph.
 No answer is trusted: every path yields a real vector x, and the
 reported value is its Rayleigh quotient on the full A, for unit x, with
 the residual ||A x - value x|| computed from A.  A residual above ``tol``
-raises ConvergenceError, on the dense path too.  Each answer carries its
-unit x, so callers that need the eigenvector take it from here.
+raises ConvergenceError on every path.  Each answer carries its unit
+x, so callers that need the eigenvector take it from here.
 
 ``method`` is ``auto``, ``dense`` or ``iterative``, and only ``auto``
 picks the sectors.  It tries, in this order: the dense solver up to
@@ -146,13 +146,8 @@ def _iterative(
             maxiter=max(1, max_iterations // ncv),
             tol=tol / max(d, 1),
         )
-    except ArpackNoConvergence:
-        best = _rayleigh(g, deflated(last), "iterative", applied, tol)
-        raise ConvergenceError(
-            f"no convergence to {tol:g} within {max_iterations} iterations "
-            f"(best residual {best.residual:.3e})",
-            best=best,
-        ) from None
+    except ArpackNoConvergence:  # _solve judges its last input like any answer
+        return deflated(last), applied
     return deflated(vecs[:, 0]), applied
 
 

@@ -7,6 +7,9 @@ import pkgutil
 from pathlib import Path
 
 import flipspectra
+from flipspectra import bounds
+
+SRC = Path(flipspectra.__file__).parent
 
 
 def public_functions():
@@ -36,9 +39,9 @@ def test_no_public_function_takes_a_private_parameter():
     assert {name: ps for name, ps in private.items() if ps} == {}
 
 
-def test_only_bounds_stats_constructs_collection_stats():
-    # one constructor: every census, oracle and copy collection is counted through bounds._stats
-    callers = []
+def calls():
+    """(caller, callee) of every call in flipspectra's source, the callee as written."""
+    found = []
 
     class Calls(ast.NodeVisitor):
         def __init__(self, module):
@@ -52,11 +55,27 @@ def test_only_bounds_stats_constructs_collection_stats():
         visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
         def visit_Call(self, node):
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name == "CollectionStats":
-                callers.append(".".join(self.where))
+            found.append((".".join(self.where), ast.unparse(node.func)))
             self.generic_visit(node)
 
-    for path in sorted(Path(flipspectra.__file__).parent.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         Calls(path.stem).visit(ast.parse(path.read_text()))
+    return found
+
+
+def test_only_bounds_stats_constructs_collection_stats():
+    # one constructor: every census, oracle and copy collection is counted through bounds._stats
+    callers = [caller for caller, callee in calls() if callee.split(".")[-1] == "CollectionStats"]
     assert callers == ["bounds._stats"]
+
+
+def test_only_bounds_count_tallies_copies():
+    # one checked tally: the copy search, a listed collection and the hexagon supports all
+    # reach their counts through bounds._count, which adds per vertex and per edge
+    assert [caller for caller, callee in calls() if callee == "np.add.at"] == ["bounds._count"] * 2
+    assert not hasattr(bounds, "_tally")
+    tree = ast.parse((SRC / "census.py").read_text())
+    names = {getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    assert "_count" in names
+    assert names.isdisjoint({"_tally", "_SPLIT_PAIRS", "arc_keys"})

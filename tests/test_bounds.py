@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -201,6 +202,33 @@ def test_collection_stats_does_not_depend_on_the_split(monkeypatch):
     want = [collection_stats(g, p) for g, p in cases]
     monkeypatch.setattr(bounds, "_SPLIT_PAIRS", 1)
     assert [collection_stats(g, p) for g, p in cases] == want
+
+
+def test_count_tallies_every_block():
+    # three copies of K2 on C5 in two blocks; C5's edges are 0-1, 0-4, 1-2, 2-3, 3-4
+    blocks = [np.array([[0, 1]]), np.array([[2, 1], [3, 4]])]
+    assert bounds._count(cycle_graph(5), np.array([[0], [1]]), blocks) == CollectionStats(
+        1, 1, (1, 2, 1, 1, 1), (1, 0, 1, 0, 1), 3
+    )
+    assert bounds._count(cycle_graph(5), np.array([[0], [1]]), []).copy_count == 0
+
+
+@pytest.mark.parametrize(
+    "host, copy",
+    [
+        # an unchecked lookup counted this non-edge on edge 0-4
+        (cycle_graph(5), [0, 2]),
+        # past the host's largest edge key, where the lookup runs off the end
+        (from_edges(4, [(0, 1), (1, 2)]), [2, 3]),
+    ],
+)
+def test_count_refuses_a_copy_edge_the_host_lacks(host, copy):
+    # a program fault, not an input error: every caller hands over checked copies
+    u, v = sorted(copy)
+    want = rf"^copy edge \({u},{v}\) is not an edge of the host$"
+    with pytest.raises(RuntimeError, match=want) as err:
+        bounds._count(host, np.array([[0], [1]]), [np.array([copy])])
+    assert not isinstance(err.value, InvalidInputError)
 
 
 def test_edgeless_pattern_is_rejected():

@@ -1,10 +1,11 @@
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flipspectra import cli
+from flipspectra import bounds, census, cli, spectra
 from flipspectra.cli import build_parser, main
 from flipspectra.flipgraph import Graph
 from flipspectra.spectra import lambda_2
@@ -155,6 +156,32 @@ def test_census_oracle_columns_agree(capsys, n):
         assert pc == po and hc == ho
 
 
+@pytest.mark.parametrize("edges", [[], ["--edges"]], ids=["vertices", "edges"])
+def test_census_oracle_refuses_a_host_over_the_cap_first(capsys, monkeypatch, edges):
+    work = []
+    monkeypatch.setattr(bounds, "COLLECTION_HOST_LIMIT", 41)  # A7 has 42 vertices
+    monkeypatch.setattr(census, "_flips", lambda n: work.append(("flip pass", n)))
+    monkeypatch.setattr(census, "build_associahedron", lambda n, *a: work.append(("build", n)))
+    code, out, err = run_cli(capsys, "census", "--n", "7", "--oracle", *edges)
+    assert (code, out, err) == (3, "", "resource error: census oracle limited to 41 vertices\n")
+    assert work == []
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["--n", "15"], 2, "input error: n=15 outside the supported range 3..14\n"),
+        (["--n", "13", "--max-n", "12"], 2,
+         "input error: n=13 outside the supported range 3..12\n"),
+        (["--n", "13"], 3, "resource error: census oracle limited to 20000 vertices\n"),
+        (["--n", "4"], 2, "input error: pentagon census needs n >= 5\n"),
+    ],
+)
+def test_census_oracle_errors_come_in_order(capsys, argv, code, err):
+    # the range first, then the oracles' host cap, then the pentagon census's n >= 5
+    assert run_cli(capsys, "census", *argv, "--oracle") == (code, "", err)
+
+
 def test_census_honours_max_n(capsys, monkeypatch):
     monkeypatch.setenv("FLIPSPECTRA_MAX_N", "5")
     code, out, _ = run_cli(capsys, "census", "--n", "6", "--max-n", "6", "--oracle")
@@ -286,6 +313,17 @@ def test_table_below_n5_is_input_error(capsys, tmp_path, kind):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("n_max, first", [("11", 11), ("15", 11)])
+def test_table_refuses_an_n_over_the_cap_before_any_solve(capsys, monkeypatch, n_max, first):
+    solved = []
+    monkeypatch.setenv("FLIPSPECTRA_MAX_N", "10")
+    monkeypatch.setattr(spectra, "lambda_min", lambda g, **kwargs: solved.append(g.polygon))
+    code, out, err = run_cli(capsys, "table", "--kind", "lambda_min", "--n-max", n_max)
+    assert code == 2 and out == ""
+    assert err == f"input error: n={first} outside the supported range 3..10\n"
+    assert solved == []
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_spectrum_rejects_nonpositive_tol(capsys, tol):
     code, out, err = run_cli(capsys, "spectrum", "--n", "6", "--tol", tol)
@@ -299,6 +337,14 @@ def test_dense_residual_above_tol_is_resource_error(capsys):
     )
     assert code == 3
     assert out == "" and "resource error: dense solve left residual" in err
+
+
+def test_arpack_out_of_iterations_is_the_one_residual_error(capsys):
+    code, out, err = run_cli(
+        capsys, "spectrum", "--n", "11", "--solver", "iterative", "--max-iterations", "20"
+    )
+    assert code == 3 and out == ""
+    assert re.fullmatch(r"resource error: iterative solve left residual \S+ above 1e-09\n", err)
 
 
 @pytest.mark.parametrize("eps", ["2", "0", "nan"])

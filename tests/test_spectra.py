@@ -400,6 +400,17 @@ def test_residual_above_tol_raises(assoc, method):
     assert abs(best.value - lambda_min(assoc(9), method="dense").value) <= 1e-9
 
 
+@pytest.mark.parametrize("solver", [lambda_min, lambda_2])
+def test_arpack_out_of_iterations_is_judged_like_every_path(assoc, solver):
+    # ARPACK's last input is one more answer, accepted or refused by its residual alone
+    want = r"^iterative solve left residual \S+ above 1e-09$"
+    with pytest.raises(ConvergenceError, match=want) as err:
+        solver(assoc(11), method="iterative", max_iterations=20)
+    best = err.value.best
+    assert best.method == "iterative" and best.residual > best.tolerance == 1e-9
+    assert 0 < best.iterations <= 40  # within one restart of the cap
+
+
 @pytest.mark.parametrize(
     "n, method, path",
     [(7, "dense", "dense"), (9, "auto", "sectors"), (9, "iterative", "iterative"),
