@@ -58,7 +58,7 @@ ROOT = Path(__file__).resolve().parent.parent
 STAGES = {
     "rows": (range(10, 16), "", "fg._id_rows(n)"),
     "flip": (range(10, 16), "fg._id_rows(n)", "fg._flip_pass(n)"),
-    "build": (range(10, 16), "", "fg.build_associahedron(n, max_n=n)"),
+    "build": (range(10, 16), "", "fg.build_associahedron(n)"),
     "census": (
         range(10, 13),
         "",
@@ -124,7 +124,8 @@ print(json.dumps({"seconds": seconds, "peak_rss_mb": rss_mb(), "import_rss_mb": 
 
 
 def run_child(src: Path, stage: str, n: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
+    # the cap at n lets the n = 15 stages past the default of 14, on any checkout
+    env = dict(os.environ, PYTHONPATH=str(src), FLIPSPECTRA_MAX_N=str(n))
     code = CHILD % STAGES[stage][1:]
     out = subprocess.run(
         [sys.executable, "-c", code, str(n)], env=env, capture_output=True, text=True, check=True

@@ -352,15 +352,16 @@ def assoc_lower_bound(n: int) -> float:
 def assoc_upper_bound(n: int) -> float:
     """Best upper bound for lambda_min of the flip graph from diagonal slices.
 
-    For n <= 12 this is the computed table value.  Beyond, dynamic
-    programming over all slice splits: ub(n) = min over 4 <= k <= n-2 of
-    ub(k) + ub(n-k+2), which never loses to any fixed split.
+    For n <= 12 this is the computed table value.  Beyond, a table filled
+    bottom-up over all slice splits, so no n is too deep for the stack:
+    ub(n) = min over 4 <= k <= n-2 of ub(k) + ub(n-k+2), never worse than a fixed split.
     """
     if n < 4:
         raise InvalidInputError("upper bound needs n >= 4")
-    if n <= 12:
-        return LAMBDA_MIN_TABLE[n]
-    return min(assoc_upper_bound(k) + assoc_upper_bound(n - k + 2) for k in range(4, n - 1))
+    ub = np.array([LAMBDA_MIN_TABLE.get(m, np.nan) for m in range(max(n, 12) + 1)])
+    for m in range(13, n + 1):
+        ub[m] = (ub[4 : m - 1] + ub[m - 2 : 3 : -1]).min()
+    return float(ub[n])
 
 
 def upper_bound_residue_constants(n_max: int = 200) -> dict[int, float]:

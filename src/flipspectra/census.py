@@ -117,15 +117,15 @@ def count_pentagons_total(g: Graph) -> int:
     return total
 
 
-def pentagon_census_oracle(n: int, max_n: int | None = None) -> CollectionStats:
+def pentagon_census_oracle(n: int) -> CollectionStats:
     """The 5-cycles of the flip graph by the array copy search.
 
     Counts the subgraph copies of C5, which are exactly the 5-cycles, with
     ``bounds.collection_stats``; a host over its cap is refused as a census.
     """
-    _check_range(n, max_n)
+    _check_range(n)
     _check_census_size(catalan(n - 2))  # before the build
-    return collection_stats(build_associahedron(n, max_n), cycle_graph(5))
+    return collection_stats(build_associahedron(n), cycle_graph(5))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,7 @@ def _hexagon_faces(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(corners), np.concatenate(held)
 
 
-def hexagon_census_oracle(n: int, max_n: int | None = None) -> CollectionStats:
+def hexagon_census_oracle(n: int) -> CollectionStats:
     """Whole-graph hexagon census by support enumeration.
 
     Each support set is one copy of A6: its vertices are the
@@ -204,7 +204,7 @@ def hexagon_census_oracle(n: int, max_n: int | None = None) -> CollectionStats:
     as it tallies them.  Independent of the dual-tree arithmetic of the
     formula route.
     """
-    _check_range(n, max_n)
+    _check_range(n)
     _check_census_size(catalan(n - 2))  # before the build
     corners, held = _hexagon_faces(n)
     count = len(corners)
@@ -215,8 +215,8 @@ def hexagon_census_oracle(n: int, max_n: int | None = None) -> CollectionStats:
     rows = np.concatenate([np.broadcast_to(held[:, None], shape), inner], axis=2)
     verts = _row_index(n, rows.reshape(-1, n - 3)).reshape(count, -1)
     # column j of verts is A6's vertex j, so a support's edges are A6's edges
-    ends = np.array(list(build_associahedron(6, 6).edges())).T
-    return _count(build_associahedron(n, max_n), ends, [verts])
+    ends = np.array(list(build_associahedron(6).edges())).T
+    return _count(build_associahedron(n), ends, [verts])
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +240,13 @@ def _edge_slots(target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u[order], i[order]
 
 
-def ear_counts(n: int, max_n: int | None = None) -> tuple[int, ...]:
+def ear_counts(n: int) -> tuple[int, ...]:
     """t1 of every triangulation of the n-gon, in vertex order.
 
     t1 is the number of polygon vertices that no diagonal touches; for
     n >= 4 each is the tip of one ear, a leaf of the dual tree.
     """
-    _check_range(n, max_n)
+    _check_range(n)
     rows = _id_rows(n)
     ends, _ = _diagonal_ids(n)
     touched = np.zeros((len(rows), n), dtype=bool)
@@ -257,7 +257,7 @@ def ear_counts(n: int, max_n: int | None = None) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # the censuses
 
-def pentagon_census(n: int, max_n: int | None = None) -> CollectionStats:
+def pentagon_census(n: int) -> CollectionStats:
     """5-cycles through each vertex and each edge of the flip graph.
 
     Through the flip edge of ab: the diagonal sides of the quadrilateral
@@ -266,14 +266,14 @@ def pentagon_census(n: int, max_n: int | None = None) -> CollectionStats:
     """
     if n < 5:
         raise InvalidInputError("pentagon census needs n >= 5")
-    _check_range(n, max_n)
+    _check_range(n)
     _, a, b, p, q, target = _flips(n)
     edge = _degree(n, a, b, p) + _degree(n, a, b, q) - 2
     per_vertex = edge.sum(axis=1) // 2
     return _stats(per_vertex, edge[_edge_slots(target)], per_vertex.sum() // 5)
 
 
-def hexagon_census(n: int, max_n: int | None = None) -> CollectionStats:
+def hexagon_census(n: int) -> CollectionStats:
     """Hexagon-flip subgraphs through each vertex and each edge of the flip graph.
 
     Through a vertex: the 4-node subtrees of its dual tree, paths
@@ -285,7 +285,7 @@ def hexagon_census(n: int, max_n: int | None = None) -> CollectionStats:
     """
     if n < 6:
         raise InvalidInputError("hexagon census needs n >= 6")
-    _check_range(n, max_n)
+    _check_range(n)
     masks, a, b, p, q, target = _flips(n)
     dp, dq = _degree(n, a, b, p), _degree(n, a, b, q)
     stars = ((dp == 3).sum(axis=1) + (dq == 3).sum(axis=1)) // 3  # seen once per side

@@ -60,7 +60,7 @@ def _json(obj) -> str:
 
 def cmd_enumerate(args) -> int:
     # code i is vertex i of the flip graph, without building it
-    codes = enumerate_triangulations(args.n, args.max_n)
+    codes = enumerate_triangulations(args.n)
     _emit(args, "".join(code + "\n" for code in codes))
     return EXIT_OK
 
@@ -74,9 +74,9 @@ def cmd_graph(args) -> int:
             raise InvalidInputError(f"--slice expects i-j, got {args.slice!r}")
         from .flipgraph import diagonal_slice
 
-        g = diagonal_slice(args.n, d, args.max_n)
+        g = diagonal_slice(args.n, d)
     else:
-        g = build_associahedron(args.n, args.max_n)
+        g = build_associahedron(args.n)
     buf = io.StringIO()
     write_edge_list(g, buf)
     _emit(args, buf.getvalue())
@@ -92,7 +92,7 @@ def cmd_spectrum(args) -> int:
         )
     if args.which == "full" and args.solver == "iterative":
         raise InvalidInputError("--which full is dense only; --solver iterative cannot give it")
-    g = build_associahedron(args.n, args.max_n)
+    g = build_associahedron(args.n)
     t0 = time.perf_counter()
     result = {
         "n": args.n,
@@ -135,12 +135,12 @@ def cmd_spectrum(args) -> int:
 
 def cmd_census(args) -> int:
     if args.oracle:  # first: it refuses a host over the oracles' cap before any census
-        pent_oracle = census.pentagon_census_oracle(args.n, args.max_n)
-    t1 = census.ear_counts(args.n, args.max_n)
-    pent = census.pentagon_census(args.n, args.max_n)
-    hexa = census.hexagon_census(args.n, args.max_n) if args.n >= 6 else None
+        pent_oracle = census.pentagon_census_oracle(args.n)
+    t1 = census.ear_counts(args.n)
+    pent = census.pentagon_census(args.n)
+    hexa = census.hexagon_census(args.n) if args.n >= 6 else None
     if args.oracle and hexa:
-        hexa_oracle = census.hexagon_census_oracle(args.n, args.max_n)
+        hexa_oracle = census.hexagon_census_oracle(args.n)
     if args.edges:
         target = census._flips(args.n)[-1]  # the flip graph's edges, from the censuses' pass
         u, i = census._edge_slots(target)
@@ -219,10 +219,10 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_walk(args) -> int:
-    g = build_associahedron(args.n, args.max_n)
+    g = build_associahedron(args.n)
     if args.test_fn:
         if args.test_fn == "aldous":
-            f = walk.aldous_test_function(args.n, args.max_n)
+            f = walk.aldous_test_function(args.n)
         elif args.test_fn == "eigen":
             f = spectra.lambda_2(g, seed=args.seed).vector
         else:
@@ -255,7 +255,7 @@ def cmd_table(args) -> int:
     if args.n_max < 5:
         raise InvalidInputError("table needs --n-max >= 5")
     for n in range(5, args.n_max + 1):  # refuse an n over the cap before the first solve
-        _check_range(n, None)
+        _check_range(n)
     table = LAMBDA_MIN_TABLE if args.kind == "lambda_min" else LAMBDA_2_TABLE
     solver = spectra.lambda_min if args.kind == "lambda_min" else spectra.lambda_2
     fh = io.StringIO()
@@ -285,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--n", type=int, required=True, help="polygon size")
-        p.add_argument("--max-n", type=int, default=None, dest="max_n",
-                       help="override the polygon size cap")
         p.add_argument("--out", default=None, help="output file (default stdout)")
 
     p = sub.add_parser("enumerate", help="list triangulations, one code per line")
@@ -295,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="export the flip graph as an edge list")
     add_common(p)
-    p.add_argument("--export", choices=["edges"], default="edges")
     p.add_argument("--slice", default=None,
                    help="export the slice on triangulations containing diagonal i-j")
     p.set_defaults(func=cmd_graph)

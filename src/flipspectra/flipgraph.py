@@ -177,7 +177,7 @@ def _associahedron_cached(n: int) -> Graph:
     return Graph(np.arange(count + 1, dtype=np.int64) * k, nbrs.reshape(-1), k, polygon=n)
 
 
-def build_associahedron(n: int, max_n: int | None = None) -> Graph:
+def build_associahedron(n: int) -> Graph:
     """Flip graph on triangulations of the n-gon.
 
     Vertex i is row i of the array enumeration ``_id_rows(n)``, whose order
@@ -185,7 +185,7 @@ def build_associahedron(n: int, max_n: int | None = None) -> Graph:
     The graph is (n-3)-regular on catalan(n-2) vertices; n = 3 gives the
     single-vertex graph.
     """
-    _check_range(n, max_n)
+    _check_range(n)
     return _associahedron_cached(n)
 
 
@@ -223,7 +223,7 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
     return _csr_graph(deg, new[w[inside]]), tuple(kept.tolist())
 
 
-def diagonal_slice(n: int, d: Iterable[int], max_n: int | None = None) -> Graph:
+def diagonal_slice(n: int, d: Iterable[int]) -> Graph:
     """Induced subgraph of the flip graph on triangulations containing d.
 
     For d = (1, k) the slice is isomorphic to the box product of the flip
@@ -231,7 +231,7 @@ def diagonal_slice(n: int, d: Iterable[int], max_n: int | None = None) -> Graph:
     isomorphism.
     """
     d = tri.validate_diagonal(n, d)
-    g = build_associahedron(n, max_n)
+    g = build_associahedron(n)
     sub, _ = induced_subgraph(g, np.flatnonzero(_slice_mask(n, d)))
     return sub
 
@@ -293,7 +293,7 @@ def slice_product_map(n: int, k: int) -> np.ndarray:
     the left triangulation's index in A_k, b the right one's in A_{n-k+2}.
     """
     tri.validate_diagonal(n, (1, k))
-    _check_range(n, None)
+    _check_range(n)
     rows = _id_rows(n)[_slice_mask(n, (1, k))]
     # drop 1-k itself; the other diagonals keep their ascending order
     rest = rows[rows != _pair_ids(n, 0, k - 1)].reshape(len(rows), n - 4)

@@ -29,11 +29,13 @@ MAX_N_DEFAULT = 14
 MAX_N_ENV = "FLIPSPECTRA_MAX_N"
 
 
-def _check_range(n: int, max_n: int | None) -> None:
-    """Reject n outside 3..limit: max_n if given, else $FLIPSPECTRA_MAX_N, else 14."""
-    if max_n is None:
-        max_n = os.environ.get(MAX_N_ENV) or MAX_N_DEFAULT
-    limit = int(max_n)
+def _check_range(n: int) -> None:
+    """Reject n outside 3..$FLIPSPECTRA_MAX_N, the one polygon-size cap (14 if unset or empty)."""
+    value = os.environ.get(MAX_N_ENV) or MAX_N_DEFAULT
+    try:
+        limit = int(value)
+    except ValueError:
+        raise InvalidInputError(f"{MAX_N_ENV} must be an integer, got {value!r}") from None
     if n < 3 or n > limit:
         raise RangeError(f"n={n} outside the supported range 3..{limit}")
 
@@ -164,14 +166,14 @@ def _codes(n: int) -> tuple[str, ...]:
     return tuple(map(",".join, names[_id_rows(n)].tolist()))
 
 
-def enumerate_triangulations(n: int, max_n: int | None = None) -> tuple[str, ...]:
+def enumerate_triangulations(n: int) -> tuple[str, ...]:
     """The code of every triangulation of the n-gon, in canonical order.
 
     Code i is row i of ``_id_rows(n)``, which is vertex i of the flip
     graph; there are exactly catalan(n - 2), sorted by their diagonal
     tuples.  The flip graph's ``labels`` are the same tuple.
     """
-    _check_range(n, max_n)
+    _check_range(n)
     return _codes(n)
 
 

@@ -100,7 +100,7 @@ def dirichlet_quotient(g: Graph, f: np.ndarray) -> TestFunctionReport:
     return TestFunctionReport(dirichlet, variance, quotient, quotient / 2.0)
 
 
-def aldous_test_function(n: int, max_n: int | None = None) -> np.ndarray:
+def aldous_test_function(n: int) -> np.ndarray:
     """Distance from the central triangle to a fixed boundary point.
 
     For each triangulation, the minimum cyclic distance between a vertex
@@ -113,7 +113,7 @@ def aldous_test_function(n: int, max_n: int | None = None) -> np.ndarray:
     """
     if n < 6:
         raise InvalidInputError("test function needs n >= 6")
-    _check_range(n, max_n)
+    _check_range(n)
     _, a, b, p, q, _ = _flip_pass(n)
     # every row's triangles abp and abq, each a sorted 0-based triple x < y < z
     tri = np.stack([np.hstack(s) for s in ((a, a), (b, b), (p, q))]).astype(np.int64)

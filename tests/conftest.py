@@ -3,6 +3,14 @@ import pytest
 from flipspectra import build_associahedron, lambda_2, lambda_min
 
 
+@pytest.fixture(scope="session", autouse=True)
+def default_cap():
+    """Every test starts from the default polygon-size cap, whatever the shell sets."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("FLIPSPECTRA_MAX_N", raising=False)
+        yield
+
+
 @pytest.fixture(scope="session")
 def assoc():
     """Cached flip-graph builder shared by the whole session."""

@@ -97,9 +97,9 @@ def fan_triangulation(n: int, apex: int = 1) -> Triangulation:
     return Triangulation(n, tuple(diags))
 
 
-def enumerate_objects(n: int, max_n: int | None = None) -> list[Triangulation]:
+def enumerate_objects(n: int) -> list[Triangulation]:
     """Every triangulation of the n-gon as an object, in the library's vertex order."""
-    return [Triangulation.from_code(n, code) for code in enumerate_triangulations(n, max_n)]
+    return [Triangulation.from_code(n, code) for code in enumerate_triangulations(n)]
 
 
 def _edge_set(t: Triangulation) -> set[Diagonal]:

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import flipspectra
@@ -37,6 +38,13 @@ def test_no_public_function_takes_a_private_parameter():
     assert "flipspectra.flipgraph.Graph.arc_keys" in params
     private = {name: [p for p in ps if p.startswith("_")] for name, ps in params.items()}
     assert {name: ps for name, ps in private.items() if ps} == {}
+
+
+def test_no_public_function_takes_a_size_cap():
+    # FLIPSPECTRA_MAX_N, read by triangulations._check_range alone, is the one polygon-size cap
+    takes = [name for name, fn in public_functions()
+             if any(re.fullmatch("max_?n", p) for p in inspect.signature(fn).parameters)]
+    assert takes == []
 
 
 def calls():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -324,6 +325,16 @@ def test_assoc_upper_bound_table_and_recursion():
     for n in range(13, 60):
         if n - 10 >= 4:
             assert assoc_upper_bound(n) <= -6.904 + assoc_upper_bound(n - 10) + 1e-12
+
+
+def test_assoc_upper_bound_matches_the_recursion():
+    @functools.cache
+    def ub(n):
+        if n <= 12:
+            return LAMBDA_MIN_TABLE[n]
+        return min(ub(k) + ub(n - k + 2) for k in range(4, n - 1))
+
+    assert [assoc_upper_bound(n) for n in range(4, 301)] == [ub(n) for n in range(4, 301)]
 
 
 def test_bound_sandwich_on_computed_values(lambda_min_values):

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -171,25 +172,72 @@ def test_census_oracle_refuses_a_host_over_the_cap_first(capsys, monkeypatch, ed
     "argv, code, err",
     [
         (["--n", "15"], 2, "input error: n=15 outside the supported range 3..14\n"),
-        (["--n", "13", "--max-n", "12"], 2,
+        (["FLIPSPECTRA_MAX_N=12", "--n", "13"], 2,
          "input error: n=13 outside the supported range 3..12\n"),
         (["--n", "13"], 3, "resource error: census oracle limited to 20000 vertices\n"),
         (["--n", "4"], 2, "input error: pentagon census needs n >= 5\n"),
     ],
 )
-def test_census_oracle_errors_come_in_order(capsys, argv, code, err):
-    # the range first, then the oracles' host cap, then the pentagon census's n >= 5
-    assert run_cli(capsys, "census", *argv, "--oracle") == (code, "", err)
+def test_census_oracle_errors_come_in_order(capsys, monkeypatch, argv, code, err):
+    # the range first, then the oracles' host cap, then the pentagon census's n >= 5;
+    # a leading NAME=VALUE sets the environment, as on a shell line
+    for name, _, value in (arg.partition("=") for arg in argv if "=" in arg):
+        monkeypatch.setenv(name, value)
+    flags = [arg for arg in argv if "=" not in arg]
+    assert run_cli(capsys, "census", *flags, "--oracle") == (code, "", err)
 
 
 def test_census_honours_max_n(capsys, monkeypatch):
     monkeypatch.setenv("FLIPSPECTRA_MAX_N", "5")
-    code, out, _ = run_cli(capsys, "census", "--n", "6", "--max-n", "6", "--oracle")
+    code, out, err = run_cli(capsys, "census", "--n", "6", "--oracle")
+    assert (code, out, err) == (2, "", "input error: n=6 outside the supported range 3..5\n")
+    monkeypatch.setenv("FLIPSPECTRA_MAX_N", "6")
+    code, out, _ = run_cli(capsys, "census", "--n", "6", "--oracle")
     assert code == 0
     assert len(out.strip().split("\n")) == 15
-    code, out, err = run_cli(capsys, "census", "--n", "6")
-    assert code == 2
-    assert out == "" and "input error" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "12.0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--n", "5"],
+        ["graph", "--n", "5"],
+        ["spectrum", "--n", "5"],
+        ["census", "--n", "5"],
+        ["walk", "--n", "6"],
+        ["table", "--kind", "lambda_min", "--n-max", "5"],
+        ["bounds", "--n", "8", "--certify"],
+    ],
+)
+def test_malformed_cap_is_input_error(capsys, monkeypatch, argv, value):
+    monkeypatch.setenv("FLIPSPECTRA_MAX_N", value)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"input error: FLIPSPECTRA_MAX_N must be an integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([command, "--n", "6", "--max-n", "14"]
+          for command in ("enumerate", "graph", "spectrum", "census", "walk")),
+        ["graph", "--n", "6", "--export", "edges"],
+    ],
+)
+def test_removed_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[3:])}" in capsys.readouterr().err
+
+
+def test_bounds_runs_at_an_n_past_the_stack_depth(capsys):
+    # the slice upper bound fills its table bottom-up, with no recursion per n
+    code, out, err = run_cli(capsys, "bounds", "--n", "2000")
+    assert (code, err) == (0, "")
+    upper = [r for r in strict_json(out) if r["bound_name"] == "slice-upper"]
+    assert len(upper) == 1 and math.isfinite(upper[0]["bound_value"])
 
 
 def test_bounds_reports(capsys):
@@ -363,8 +411,9 @@ def test_exit_code_convergence_error(capsys):
     assert "resource error" in err
 
 
-def test_graph_past_uint8_diagonal_ids_is_resource_error(capsys):
-    code, out, err = run_cli(capsys, "graph", "--n", "25", "--max-n", "25")
+def test_graph_past_uint8_diagonal_ids_is_resource_error(capsys, monkeypatch):
+    monkeypatch.setenv("FLIPSPECTRA_MAX_N", "25")
+    code, out, err = run_cli(capsys, "graph", "--n", "25")
     assert code == 3
     assert out == "" and "resource error" in err
 
@@ -534,11 +583,7 @@ def _argv(draw, root):
             "--max-iterations", str(draw(st.integers(-3, 50))),
         ]
     if command == "census":
-        max_n = draw(st.one_of(st.none(), st.integers(-1, 8)))
-        return [
-            command, *n, *flag("--oracle"), *flag("--edges"),
-            *([] if max_n is None else ["--max-n", str(max_n)]),
-        ]
+        return [command, *n, *flag("--oracle"), *flag("--edges")]
     if command == "bounds":
         shape = draw(st.sampled_from(["suite", "n", "copies"]))
         if shape == "suite":
@@ -565,8 +610,15 @@ def _argv(draw, root):
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_any_argv_ends_in_an_exit_code(user_files, capsys, data):
+def test_any_argv_ends_in_an_exit_code(user_files, capsys, monkeypatch, data):
     argv = _argv(data.draw, user_files)
+    cap = data.draw(st.one_of(
+        st.none(), st.integers(-1, 8).map(str), st.sampled_from(["", "abc", "12.0"])
+    ))
+    if cap is None:
+        monkeypatch.delenv("FLIPSPECTRA_MAX_N", raising=False)
+    else:
+        monkeypatch.setenv("FLIPSPECTRA_MAX_N", cap)
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse's own usage error

@@ -205,8 +205,9 @@ def test_build_stops_where_uint8_ids_run_out(monkeypatch):
         raise AssertionError("enumerated before the uint8 guard")
 
     monkeypatch.setattr(tri, "_endpoint_blocks", counted)
+    monkeypatch.setenv("FLIPSPECTRA_MAX_N", "25")
     with pytest.raises(CapacityError):
-        build_associahedron(25, max_n=25)
+        build_associahedron(25)
     # the guard comes before any enumeration
     assert calls == []
 

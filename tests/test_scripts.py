@@ -39,12 +39,17 @@ def test_script_runs_to_its_summary(argv, last_line):
     assert done.stdout.splitlines()[-1] == last_line
 
 
-def test_bench_stages_run():
-    # bench.py reaches into any checkout by these names, so a rename must fail here, not
-    # at the next benchmark: each stage runs once, at the smallest n of its range
+def load_bench():
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_stages_run():
+    # bench.py reaches into any checkout by these names, so a rename must fail here, not
+    # at the next benchmark: each stage runs once, at the smallest n of its range
+    bench = load_bench()
     assert "from flipspectra import cli, spectra, walk" in bench.CHILD
     assert "from flipspectra import flipgraph as fg" in bench.CHILD
     for stage, (n_range, setup, statement) in bench.STAGES.items():
@@ -54,3 +59,18 @@ def test_bench_stages_run():
         exec(statement, names)
         if stage in ("lmin", "lam2"):  # the child reports the solve's method and iterations
             assert names["result"].method == "sectors" and names["result"].iterations == 0
+
+
+def test_bench_child_caps_the_polygon_at_its_n(monkeypatch):
+    # every checkout reads FLIPSPECTRA_MAX_N, so the n = 15 stages run on old and new alike
+    bench = load_bench()
+    seen = []
+
+    def run(argv, env, **kwargs):
+        seen.append(env)
+        return subprocess.CompletedProcess(argv, 0, stdout='{"seconds": 0}\n')
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    assert bench.run_child(ROOT / "src", "build", 15) == {"seconds": 0}
+    assert [env["FLIPSPECTRA_MAX_N"] for env in seen] == ["15"]
+    assert seen[0]["PYTHONPATH"] == str(ROOT / "src")

@@ -137,21 +137,23 @@ def test_id_rows_match_tuple_oracle(n):
 
 
 @pytest.mark.parametrize("n", range(3, 13))
-def test_enumeration_matches_tuple_oracle(n):
+def test_enumeration_matches_tuple_oracle(monkeypatch, n):
     want = sorted(
         (Triangulation(n, tuple((i + 1, j + 1) for i, j in ds)) for ds in oracle_diagonal_sets(n)),
         key=lambda t: t.diagonals,
     )
-    assert enumerate_triangulations(n, max_n=n) == tuple(t.code() for t in want)
+    monkeypatch.setenv("FLIPSPECTRA_MAX_N", str(n))
+    assert enumerate_triangulations(n) == tuple(t.code() for t in want)
 
 
-def test_enumeration_range_errors():
+def test_enumeration_range_errors(monkeypatch):
     with pytest.raises(RangeError):
         enumerate_triangulations(2)
     with pytest.raises(RangeError):
         enumerate_triangulations(15)  # above the default cap
+    monkeypatch.setenv("FLIPSPECTRA_MAX_N", "10")
     with pytest.raises(RangeError):
-        enumerate_triangulations(12, max_n=10)
+        enumerate_triangulations(12)
 
 
 def test_enumeration_cap_env_override(monkeypatch):
@@ -161,6 +163,21 @@ def test_enumeration_cap_env_override(monkeypatch):
         enumerate_triangulations(6)
     monkeypatch.delenv("FLIPSPECTRA_MAX_N")
     assert len(enumerate_triangulations(6)) == 14
+
+
+@pytest.mark.parametrize("value", ["abc", "12.0", "1e3", "-"])
+def test_malformed_cap_is_input_error(monkeypatch, value):
+    monkeypatch.setenv("FLIPSPECTRA_MAX_N", value)
+    with pytest.raises(InvalidInputError) as exc:
+        enumerate_triangulations(5)
+    assert str(exc.value) == f"FLIPSPECTRA_MAX_N must be an integer, got {value!r}"
+
+
+def test_empty_cap_means_the_default(monkeypatch):
+    monkeypatch.setenv("FLIPSPECTRA_MAX_N", "")
+    assert len(enumerate_triangulations(6)) == 14
+    with pytest.raises(RangeError, match=r"range 3\.\.14$"):
+        enumerate_triangulations(15)
 
 
 def test_flip_square():

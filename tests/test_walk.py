@@ -204,11 +204,12 @@ def test_aldous_function_range_and_nonconstant():
         assert np.allclose(f, np.round(f))  # cyclic distances are integers
 
 
-def test_aldous_needs_n_at_least_6():
+def test_aldous_needs_n_at_least_6(monkeypatch):
     with pytest.raises(InvalidInputError):
         aldous_test_function(5)
+    monkeypatch.setenv("FLIPSPECTRA_MAX_N", "8")
     with pytest.raises(RangeError):
-        aldous_test_function(9, max_n=8)
+        aldous_test_function(9)
 
 
 @pytest.mark.parametrize("n", range(6, 12))
