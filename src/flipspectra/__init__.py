@@ -16,7 +16,6 @@ from .flipgraph import (
 from .spectra import (
     SpectralResult,
     Spectrum,
-    cycle_spectrum,
     dense_spectrum,
     lambda_2,
     lambda_min,

@@ -29,7 +29,7 @@ from .reference import (
     LIMIT_LOWER_CONSTANT,
     LIMIT_UPPER_CONSTANT,
 )
-from .spectra import dense_spectrum
+from .spectra import TOLERANCE, dense_spectrum
 from .triangulations import catalan
 
 COLLECTION_HOST_LIMIT = 20000
@@ -40,9 +40,10 @@ COLLECTION_PATTERN_LIMIT = 12
 # but lifted the peak RSS of bounds --certify --n-max 10 by about 0.5 MB.
 _SPLIT_PAIRS = 1 << 12
 
-# float error allowed in a computed eigenvalue: the solvers stop at a residual
-# of 1e-9, and some eigenvalue lies within the residual of the reported value
-SLACK = 1e-9
+# float error allowed in a computed eigenvalue: every solve is accepted at a
+# residual of at most TOLERANCE, and some eigenvalue lies within the residual
+# of the reported value
+SLACK = TOLERANCE
 
 
 def holds(lower: float, upper: float) -> bool:
@@ -325,17 +326,6 @@ def theorem_bound(d: int, k: int, lam_min_pattern: float, m: int, t: int) -> flo
     return -d + (k + lam_min_pattern) * m / t
 
 
-def odd_cycle_bound(d: int, r: int, m: int, t: int) -> float:
-    """Odd-cycle specialization: -d + 4 sin^2(pi/(4r+2)) * m / t."""
-    if r < 1:
-        raise InvalidInputError("need r >= 1")
-    if t < 1:
-        raise InvalidInputError("need t >= 1")
-    if m < 0:
-        raise InvalidInputError("need m >= 0")
-    return -d + 4.0 * math.sin(math.pi / (4 * r + 2)) ** 2 * m / t
-
-
 def assoc_lower_bound(n: int) -> float:
     """Closed-form lower bound for lambda_min of the flip graph of the n-gon.
 
@@ -348,20 +338,39 @@ def assoc_lower_bound(n: int) -> float:
     return -(5.0 + s5) / 8.0 * (n - 3) - (3.0 - s5) / 8.0
 
 
-@lru_cache(maxsize=None)
+# the one slice table, ub(m) at index m: the computed values up to m = 12
+# (nan below 4), extended by _slice_upper.  Its entries never change, so every
+# caller in the process may share it.
+_slice_table = np.array([LAMBDA_MIN_TABLE.get(m, np.nan) for m in range(13)])
+
+
+def _slice_upper(n: int) -> np.ndarray:
+    """The slice table through at least n, grown only when n is past its end.
+
+    Past 12 it is filled bottom-up, so no n is too deep for the stack:
+    ub(m) = min over 4 <= k <= m-2 of ub(k) + ub(m-k+2), never worse than a fixed split.
+    """
+    global _slice_table
+    ub = _slice_table
+    if n >= len(ub):
+        start = len(ub)
+        ub = np.concatenate((ub, np.empty(n + 1 - start)))
+        for m in range(start, n + 1):
+            ub[m] = (ub[4 : m - 1] + ub[m - 2 : 3 : -1]).min()
+        ub.flags.writeable = False
+        _slice_table = ub
+    return ub
+
+
 def assoc_upper_bound(n: int) -> float:
     """Best upper bound for lambda_min of the flip graph from diagonal slices.
 
-    For n <= 12 this is the computed table value.  Beyond, a table filled
-    bottom-up over all slice splits, so no n is too deep for the stack:
-    ub(n) = min over 4 <= k <= n-2 of ub(k) + ub(n-k+2), never worse than a fixed split.
+    For n <= 12 this is the computed table value; beyond, the best split
+    of the n-gon into two slices (``_slice_upper``).
     """
     if n < 4:
         raise InvalidInputError("upper bound needs n >= 4")
-    ub = np.array([LAMBDA_MIN_TABLE.get(m, np.nan) for m in range(max(n, 12) + 1)])
-    for m in range(13, n + 1):
-        ub[m] = (ub[4 : m - 1] + ub[m - 2 : 3 : -1]).min()
-    return float(ub[n])
+    return float(_slice_upper(n)[n])
 
 
 def upper_bound_residue_constants(n_max: int = 200) -> dict[int, float]:
@@ -372,10 +381,11 @@ def upper_bound_residue_constants(n_max: int = 200) -> dict[int, float]:
     per step), so the maximum over n <= n_max is the true constant once
     n_max is past the first class representatives.
     """
+    ub = _slice_upper(n_max)
     out: dict[int, float] = {}
     for n in range(4, n_max + 1):
         r = n % 10
-        c = assoc_upper_bound(n) - LIMIT_UPPER_CONSTANT * n
+        c = float(ub[n]) - LIMIT_UPPER_CONSTANT * n
         out[r] = max(out.get(r, -math.inf), c)
     return dict(sorted(out.items()))
 

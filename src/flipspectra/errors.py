@@ -14,7 +14,7 @@ class CapacityError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """A solve left a residual above its tolerance.
+    """A solve left a residual above spectra.TOLERANCE.
 
     The rejected answer is attached as ``best`` (a SpectralResult) so
     callers can inspect how close the solve got.

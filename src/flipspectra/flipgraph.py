@@ -371,20 +371,10 @@ def cycle_graph(m: int) -> Graph:
     return from_edges(m, [(i, (i + 1) % m) for i in range(m)])
 
 
-def path_graph(m: int) -> Graph:
-    if m < 1:
-        raise InvalidInputError("path needs at least 1 vertex")
-    return from_edges(m, [(i, i + 1) for i in range(m - 1)])
-
-
 def complete_graph(m: int) -> Graph:
     if m < 1:
         raise InvalidInputError("complete graph needs at least 1 vertex")
     return from_edges(m, [(i, j) for i in range(m) for j in range(i + 1, m)])
-
-
-def single_vertex() -> Graph:
-    return complete_graph(1)
 
 
 def petersen_graph() -> Graph:

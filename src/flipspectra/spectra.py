@@ -21,9 +21,13 @@ lifted to the whole graph.
 
 No answer is trusted: every path yields a real vector x, and the
 reported value is its Rayleigh quotient on the full A, for unit x, with
-the residual ||A x - value x|| computed from A.  A residual above ``tol``
-raises ConvergenceError on every path.  Each answer carries its unit
-x, so callers that need the eigenvector take it from here.
+the residual ||A x - value x|| computed from A.  One fixed rule accepts
+it: a residual of at most TOLERANCE, which for a symmetric A puts some
+eigenvalue within TOLERANCE of the value (the residual bound; B. N.
+Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998).  A larger
+residual raises ConvergenceError on every path, also when ARPACK stops
+after MAX_APPLICATIONS operator applications.  Each answer carries its
+unit x, so callers that need the eigenvector take it from here.
 
 ``method`` is ``auto``, ``dense`` or ``iterative``, and only ``auto``
 picks the sectors.  It tries, in this order: the dense solver up to
@@ -58,6 +62,12 @@ DENSE_LIMIT_DEFAULT = 5000  # capacity of the dense solver
 # lambda_min on a 2-core machine: 1.0 / 4.2 ms on A8 (132 vertices) and
 # 12 / 8.4 ms on A9 (429); on random cubic graphs they meet at 300-350.
 AUTO_DENSE_LIMIT = 300
+# the acceptance residual of every answer, and so the float error allowed
+# wherever a computed eigenvalue is compared (bounds.SLACK)
+TOLERANCE = 1e-9
+# the iterative path's cap on operator applications; ARPACK counts in
+# restarts of ncv applications, so the cap holds to within one restart
+MAX_APPLICATIONS = 5000
 
 
 @dataclass(frozen=True)
@@ -66,7 +76,6 @@ class SpectralResult:
     residual: float  # ||A x - value * x||_2 with ||x||_2 = 1
     method: str      # "dense", "sectors" or "iterative"
     iterations: int  # operator applications; 0 on the dense and sector paths
-    tolerance: float
     vector: np.ndarray = field(default=None, compare=False, repr=False)  # the unit x
 
 
@@ -109,9 +118,7 @@ def dense_spectrum(g: Graph) -> Spectrum:
     return Spectrum(vals[::-1].copy())
 
 
-def _iterative(
-    g: Graph, second: bool, tol: float, seed: int, max_iterations: int
-) -> tuple[np.ndarray, int]:
+def _iterative(g: Graph, second: bool, seed: int) -> tuple[np.ndarray, int]:
     """(x, operator applications): ARPACK's vector for lambda_min, or lambda_2 if ``second``."""
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -143,8 +150,8 @@ def _iterative(
             which="LA" if second else "SA",
             v0=np.random.default_rng(seed).standard_normal(n),
             ncv=ncv,
-            maxiter=max(1, max_iterations // ncv),
-            tol=tol / max(d, 1),
+            maxiter=max(1, MAX_APPLICATIONS // ncv),
+            tol=TOLERANCE / max(d, 1),
         )
     except ArpackNoConvergence:  # _solve judges its last input like any answer
         return deflated(last), applied
@@ -268,7 +275,7 @@ def _choose_method(g: Graph, method: str) -> str:
     return "dense" if g.vertex_count == 1 else method
 
 
-def _rayleigh(g: Graph, x: np.ndarray, method: str, iterations: int, tol: float) -> SpectralResult:
+def _rayleigh(g: Graph, x: np.ndarray, method: str, iterations: int) -> SpectralResult:
     """The answer a real vector gives: its Rayleigh quotient and residual on the full A."""
     x = x / np.sqrt(ddot(x, x))
     u, v = g.arcs()
@@ -276,13 +283,11 @@ def _rayleigh(g: Graph, x: np.ndarray, method: str, iterations: int, tol: float)
     value = ddot(x, ax)
     r = ax - value * x
     residual = float(np.sqrt(ddot(r, r)))
-    return SpectralResult(value, residual, method, iterations, tol, x)
+    return SpectralResult(value, residual, method, iterations, x)
 
 
-def _solve(
-    g: Graph, second: bool, tol: float, method: str, seed: int, max_iterations: int
-) -> SpectralResult:
-    """lambda_min, or lambda_2 if ``second``, from the chosen path's vector, accepted within tol."""
+def _solve(g: Graph, second: bool, method: str, seed: int) -> SpectralResult:
+    """lambda_min, or lambda_2 if ``second``: the chosen path's vector, judged by TOLERANCE."""
     chosen = _choose_method(g, method)
     applied = 0
     if chosen == "dense":
@@ -291,39 +296,27 @@ def _solve(
     elif chosen == "sectors":
         x = _sectors(g, second)
     else:
-        x, applied = _iterative(g, second, tol, seed, max_iterations)
-    result = _rayleigh(g, x, chosen, applied, tol)
-    if result.residual > tol:
+        x, applied = _iterative(g, second, seed)
+    result = _rayleigh(g, x, chosen, applied)
+    if result.residual > TOLERANCE:
         raise ConvergenceError(
-            f"{chosen} solve left residual {result.residual:.3e} above {tol:g}", best=result
+            f"{chosen} solve left residual {result.residual:.3e} above {TOLERANCE:g}", best=result
         )
     return result
 
 
-def lambda_min(
-    g: Graph,
-    tol: float = 1e-9,
-    method: str = "auto",
-    seed: int = 0,
-    max_iterations: int = 5000,
-) -> SpectralResult:
-    """Smallest adjacency eigenvalue.
+def lambda_min(g: Graph, method: str = "auto", seed: int = 0) -> SpectralResult:
+    """Smallest adjacency eigenvalue, with a residual of at most TOLERANCE.
 
-    The iterative path requires a regular graph.  ``max_iterations`` caps
-    its operator applications, to within one ARPACK restart.
+    The iterative path requires a regular graph, and stops after about
+    MAX_APPLICATIONS operator applications; ``seed`` draws its start vector.
     """
     if g.vertex_count == 0:
         raise InvalidInputError("empty graph")
-    return _solve(g, False, tol, method, seed, max_iterations)
+    return _solve(g, False, method, seed)
 
 
-def lambda_2(
-    g: Graph,
-    tol: float = 1e-9,
-    method: str = "auto",
-    seed: int = 0,
-    max_iterations: int = 5000,
-) -> SpectralResult:
+def lambda_2(g: Graph, method: str = "auto", seed: int = 0) -> SpectralResult:
     """Second-largest adjacency eigenvalue of a connected graph.
 
     The iterative path requires a regular graph: it deflates the constant
@@ -333,16 +326,4 @@ def lambda_2(
         raise InvalidInputError("second eigenvalue undefined on fewer than 2 vertices")
     if not is_connected(g):
         raise InvalidInputError("graph must be connected")
-    return _solve(g, True, tol, method, seed, max_iterations)
-
-
-def cycle_spectrum(m: int) -> Spectrum:
-    """Spectrum of the m-cycle: {2 cos(2 pi j / m)}.
-
-    For odd m = 2r+1 the smallest value satisfies
-    2 + lambda_min = 4 sin^2(pi / (4r+2)).
-    """
-    if m < 3:
-        raise InvalidInputError("cycle needs at least 3 vertices")
-    vals = 2.0 * np.cos(2.0 * np.pi * np.arange(m) / m)
-    return Spectrum(np.sort(vals)[::-1].copy())
+    return _solve(g, True, method, seed)

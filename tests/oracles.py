@@ -6,15 +6,24 @@ that validates itself on construction, and flips, triangles and dual
 trees are computed one triangulation at a time, by direct geometry.
 These routes are slow and independent of the array code, which is what
 makes them oracles.
+
+The graphs, the cycle spectrum and the odd-cycle bound at the end serve
+only the tests: closed forms that the library's general routes are
+checked against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
+import numpy as np
+
 from flipspectra.errors import InvalidInputError
+from flipspectra.flipgraph import Graph, complete_graph, from_edges
+from flipspectra.spectra import Spectrum
 from flipspectra.triangulations import (
     Diagonal,
     enumerate_triangulations,
@@ -191,3 +200,36 @@ def dual_tree(t: Triangulation) -> DualTree:
 def ear_count(t: Triangulation) -> int:
     """Number of triangles with two polygon sides (leaves of the dual tree)."""
     return dual_tree(t).degrees.count(1)
+
+
+def path_graph(m: int) -> Graph:
+    if m < 1:
+        raise InvalidInputError("path needs at least 1 vertex")
+    return from_edges(m, [(i, i + 1) for i in range(m - 1)])
+
+
+def single_vertex() -> Graph:
+    return complete_graph(1)
+
+
+def cycle_spectrum(m: int) -> Spectrum:
+    """Spectrum of the m-cycle: {2 cos(2 pi j / m)}.
+
+    For odd m = 2r+1 the smallest value satisfies
+    2 + lambda_min = 4 sin^2(pi / (4r+2)).
+    """
+    if m < 3:
+        raise InvalidInputError("cycle needs at least 3 vertices")
+    vals = 2.0 * np.cos(2.0 * np.pi * np.arange(m) / m)
+    return Spectrum(np.sort(vals)[::-1].copy())
+
+
+def odd_cycle_bound(d: int, r: int, m: int, t: int) -> float:
+    """Odd-cycle specialization of the collection bound: -d + 4 sin^2(pi/(4r+2)) * m / t."""
+    if r < 1:
+        raise InvalidInputError("need r >= 1")
+    if t < 1:
+        raise InvalidInputError("need t >= 1")
+    if m < 0:
+        raise InvalidInputError("need m >= 0")
+    return -d + 4.0 * math.sin(math.pi / (4 * r + 2)) ** 2 * m / t

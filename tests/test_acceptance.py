@@ -20,7 +20,6 @@ from flipspectra.bounds import (
     certify_collection_bound,
     holds,
     limit_bracket,
-    odd_cycle_bound,
 )
 from flipspectra.census import (
     hexagon_census,
@@ -51,7 +50,7 @@ from flipspectra.reference import (
 from flipspectra.spectra import dense_spectrum
 from flipspectra.triangulations import catalan
 from flipspectra.walk import aldous_test_function, dirichlet_quotient
-from oracles import ear_count, enumerate_objects
+from oracles import ear_count, enumerate_objects, odd_cycle_bound
 
 
 def _report(num, label, ok, detail=""):

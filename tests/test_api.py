@@ -8,9 +8,10 @@ import re
 from pathlib import Path
 
 import flipspectra
-from flipspectra import bounds
+from flipspectra import bounds, spectra
 
 SRC = Path(flipspectra.__file__).parent
+ROOT = SRC.parent.parent
 
 
 def public_functions():
@@ -28,6 +29,99 @@ def public_functions():
                         yield f"{module.__name__}.{name}.{attr}", member
             elif callable(obj):
                 yield f"{module.__name__}.{name}", obj
+
+
+def public_names():
+    """Qualified name of every public function, public method and public class of flipspectra."""
+    yield from (name for name, _ in public_functions())
+    for info in pkgutil.iter_modules(flipspectra.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"flipspectra.{info.name}")
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and obj.__module__ == module.__name__ and name[0] != "_":
+                yield f"{module.__name__}.{name}"
+
+
+def test_public_parameter_totals_only_fall():
+    # ratchet: every parameter of a public function is interface to keep, so the totals
+    # (self not counted) may fall and must not grow; lower the bounds when they fall
+    params = [p for _, fn in public_functions()
+              for p in inspect.signature(fn).parameters.values() if p.name != "self"]
+    assert len(params) <= 123
+    assert sum(p.default is not p.empty for p in params) <= 20
+
+
+def test_solver_tolerance_is_a_constant_and_the_bound_slack():
+    # one residual rule: no caller sets the tolerance or the iteration cap
+    for solver in (spectra.lambda_min, spectra.lambda_2):
+        assert list(inspect.signature(solver).parameters) == ["g", "method", "seed"]
+    assert bounds.SLACK == spectra.TOLERANCE == 1e-9
+    assert spectra.MAX_APPLICATIONS == 5000
+
+
+def mentions(tree) -> set[str]:
+    """Every name, attribute, imported name and identifier string in a syntax tree."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)  # benchmark/tracing.py names src functions in strings
+    return found
+
+
+def definitions() -> dict[str, set[str]]:
+    """What each top-level function, class, method and assignment of src mentions, by name.
+
+    A class counts its decorators, bases, fields and dunder methods, which run
+    whenever the class does; its other methods are names of their own.
+    """
+    defs: dict[str, set[str]] = {}
+    for path in SRC.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.ClassDef):
+                own = set().union(*map(mentions, stmt.decorator_list + stmt.bases))
+                for item in stmt.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        defs.setdefault(item.name, set()).update(mentions(item))
+                    else:
+                        own |= mentions(item)
+                defs.setdefault(stmt.name, set()).update(own)
+            elif isinstance(stmt, ast.FunctionDef):
+                defs.setdefault(stmt.name, set()).update(mentions(stmt))
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                for name in set().union(*map(mentions, targets)):
+                    defs.setdefault(name, set()).update(mentions(stmt.value))
+    return defs
+
+
+# public names kept for library users alone: nothing in the program reaches them
+LIBRARY_API: frozenset[str] = frozenset()
+
+
+def test_every_public_name_is_reached_by_the_program():
+    # src holds what the program runs: each public name is reached, by name and
+    # through src's own definitions, from the CLI and the claim suite, scripts/ or
+    # benchmark/, unless it is listed as library API
+    roots = [SRC / "cli.py", SRC / "certify.py",
+             *sorted((ROOT / "scripts").glob("*.py")), *sorted((ROOT / "benchmark").glob("*.py"))]
+    todo = set().union(*(mentions(ast.parse(path.read_text())) for path in roots))
+    defs, reached = definitions(), set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo |= defs.get(name, set())
+    names = list(public_names())
+    assert len(names) > 80
+    unreached = {name for name in names if name.rpartition(".")[2] not in reached}
+    assert unreached == LIBRARY_API
 
 
 def test_no_public_function_takes_a_private_parameter():

@@ -25,7 +25,6 @@ from flipspectra.bounds import (
     holds,
     limit_bracket,
     mixing_bounds,
-    odd_cycle_bound,
     theorem_bound,
     upper_bound_residue_constants,
 )
@@ -35,12 +34,12 @@ from flipspectra.flipgraph import (
     complete_graph,
     cycle_graph,
     from_edges,
-    path_graph,
     petersen_graph,
     random_regular_graph,
 )
-from flipspectra.reference import LAMBDA_MIN_TABLE
-from flipspectra.spectra import cycle_spectrum, dense_spectrum
+from flipspectra.reference import LAMBDA_MIN_TABLE, LIMIT_UPPER_CONSTANT
+from flipspectra.spectra import dense_spectrum
+from oracles import cycle_spectrum, odd_cycle_bound, path_graph
 
 
 def oracle_collection_stats(g, pattern):
@@ -335,6 +334,10 @@ def test_assoc_upper_bound_matches_the_recursion():
         return min(ub(k) + ub(n - k + 2) for k in range(4, n - 1))
 
     assert [assoc_upper_bound(n) for n in range(4, 301)] == [ub(n) for n in range(4, 301)]
+    # the residue constants read the same table: the largest ub(n) - L n per class of n mod 10
+    consts = {r: max(ub(n) - LIMIT_UPPER_CONSTANT * n for n in range(4, 301) if n % 10 == r)
+              for r in range(10)}
+    assert upper_bound_residue_constants(300) == consts
 
 
 def test_bound_sandwich_on_computed_values(lambda_min_values):

@@ -26,11 +26,11 @@ from flipspectra.flipgraph import (
     cycle_graph,
     petersen_graph,
 )
-from flipspectra.spectra import cycle_spectrum
 from flipspectra.triangulations import _diagonal_ids, polygon_regions
 from oracles import (
     Triangulation,
     crosses,
+    cycle_spectrum,
     dual_tree,
     ear_count,
     enumerate_objects,

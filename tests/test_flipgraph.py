@@ -17,10 +17,8 @@ from flipspectra.flipgraph import (
     induced_subgraph,
     is_connected,
     is_isomorphic,
-    path_graph,
     petersen_graph,
     random_regular_graph,
-    single_vertex,
     slice_product_map,
     validate_regular,
     write_edge_list,
@@ -28,7 +26,7 @@ from flipspectra.flipgraph import (
 from flipspectra import flipgraph as fg
 from flipspectra import triangulations as tri
 from flipspectra.triangulations import catalan
-from oracles import Triangulation, crosses, enumerate_objects, neighbors
+from oracles import Triangulation, crosses, enumerate_objects, neighbors, path_graph, single_vertex
 
 
 def flip_oracle_graph(n):

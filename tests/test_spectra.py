@@ -17,22 +17,20 @@ from flipspectra.flipgraph import (
     cycle_graph,
     diagonal_slice,
     induced_subgraph,
-    path_graph,
     petersen_graph,
     random_regular_graph,
-    single_vertex,
 )
 from flipspectra import certify, spectra
 from flipspectra.reference import A6_SPECTRUM_CORRECTED
 from flipspectra.spectra import (
     AUTO_DENSE_LIMIT,
     _sector_eigenvalues,
-    cycle_spectrum,
     dense_spectrum,
     lambda_2,
     lambda_min,
     matvec,
 )
+from oracles import cycle_spectrum, path_graph, single_vertex
 
 
 def test_dense_spectrum_small_graphs():
@@ -93,14 +91,15 @@ def test_iterative_residuals_within_tol(n, assoc):
     for seed in range(20):
         for solver in (lambda_min, lambda_2):
             r = solver(g, method="iterative", seed=seed)
-            assert r.residual <= r.tolerance == 1e-9
+            assert r.residual <= spectra.TOLERANCE == 1e-9
 
 
 @pytest.mark.parametrize("solver", [lambda_min, lambda_2])
-def test_convergence_error_best_is_a_rayleigh_pair(solver):
+def test_convergence_error_best_is_a_rayleigh_pair(monkeypatch, solver):
     g = build_associahedron(8)
+    monkeypatch.setattr(spectra, "MAX_APPLICATIONS", 3)
     with pytest.raises(ConvergenceError) as err:
-        solver(g, method="iterative", max_iterations=3)
+        solver(g, method="iterative")
     best = err.value.best
     assert best.iterations > 0
     vals = dense_spectrum(g).eigenvalues
@@ -241,10 +240,11 @@ def test_dense_capacity(monkeypatch):
         lambda_min(build_associahedron(8), method="dense")
 
 
-def test_convergence_error_carries_best():
+def test_convergence_error_carries_best(monkeypatch):
     g = build_associahedron(8)
+    monkeypatch.setattr(spectra, "MAX_APPLICATIONS", 3)
     with pytest.raises(ConvergenceError) as err:
-        lambda_min(g, method="iterative", max_iterations=3)
+        lambda_min(g, method="iterative")
     best = err.value.best
     assert best is not None
     assert best.method == "iterative"
@@ -328,7 +328,7 @@ def test_solvers_and_certification_call_no_numpy_linalg(assoc, monkeypatch):
 
 def _sector_answer(g, second):
     """The sector path's answer on any flip graph; ``auto`` only takes it for A9 and A10."""
-    return spectra._rayleigh(g, spectra._sectors(g, second), "sectors", 0, 1e-9)
+    return spectra._rayleigh(g, spectra._sectors(g, second), "sectors", 0)
 
 
 @pytest.mark.parametrize("n", range(4, 11))
@@ -391,23 +391,26 @@ def test_sectors_is_not_a_method(assoc):
 
 
 @pytest.mark.parametrize("method", ["dense", "auto"])
-def test_residual_above_tol_raises(assoc, method):
+def test_residual_above_tol_raises(assoc, monkeypatch, method):
     path = "sectors" if method == "auto" else method  # auto solves A9 by sectors
+    dense = lambda_min(assoc(9), method="dense").value
+    monkeypatch.setattr(spectra, "TOLERANCE", 1e-30)
     with pytest.raises(ConvergenceError, match=f"^{path} solve left residual") as err:
-        lambda_min(assoc(9), method=method, tol=1e-30)
+        lambda_min(assoc(9), method=method)
     best = err.value.best
-    assert best.method == path and best.tolerance == 1e-30
-    assert abs(best.value - lambda_min(assoc(9), method="dense").value) <= 1e-9
+    assert best.method == path and best.residual > spectra.TOLERANCE == 1e-30
+    assert abs(best.value - dense) <= 1e-9
 
 
 @pytest.mark.parametrize("solver", [lambda_min, lambda_2])
-def test_arpack_out_of_iterations_is_judged_like_every_path(assoc, solver):
+def test_arpack_out_of_iterations_is_judged_like_every_path(assoc, monkeypatch, solver):
     # ARPACK's last input is one more answer, accepted or refused by its residual alone
     want = r"^iterative solve left residual \S+ above 1e-09$"
+    monkeypatch.setattr(spectra, "MAX_APPLICATIONS", 20)
     with pytest.raises(ConvergenceError, match=want) as err:
-        solver(assoc(11), method="iterative", max_iterations=20)
+        solver(assoc(11), method="iterative")
     best = err.value.best
-    assert best.method == "iterative" and best.residual > best.tolerance == 1e-9
+    assert best.method == "iterative" and best.residual > spectra.TOLERANCE == 1e-9
     assert 0 < best.iterations <= 40  # within one restart of the cap
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flipspectra.errors import InvalidInputError, RangeError
-from flipspectra.flipgraph import build_associahedron, cycle_graph, from_edges, path_graph
+from flipspectra.flipgraph import build_associahedron, cycle_graph, from_edges
 from flipspectra.spectra import lambda_2
 from flipspectra.walk import (
     aldous_test_function,
@@ -12,7 +12,7 @@ from flipspectra.walk import (
     gap_scan,
     simulate_walk,
 )
-from oracles import Triangulation, dual_tree, enumerate_objects, fan_triangulation
+from oracles import Triangulation, dual_tree, enumerate_objects, fan_triangulation, path_graph
 
 
 def test_walk_zero_steps_stays_put():
