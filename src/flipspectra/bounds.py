@@ -6,10 +6,11 @@ every edge at most t times, then
 
     d + lambda_min(G) >= (k + lambda_min(K)) * m / t.
 
-Specializing K to an odd cycle C_{2r+1} turns the constant into
-4 sin^2(pi / (4r+2)).  The module evaluates these and the derived
-closed-form bounds for flip graphs, plus the mixing-time sandwich and the
-chromatic lower bound, and certifies each against exact spectra.
+The module evaluates it and the derived closed-form bounds for flip
+graphs, plus the mixing-time sandwich and the chromatic lower bound.
+Each is judged by ``holds`` against an eigenvalue from ``spectra``,
+whose residual is at most TOLERANCE; the collection bound takes both
+lambda_min(K) and, unless given, lambda_min(G) from ``spectra.lambda_min``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .reference import (
     LIMIT_LOWER_CONSTANT,
     LIMIT_UPPER_CONSTANT,
 )
-from .spectra import TOLERANCE, dense_spectrum
+from .spectra import TOLERANCE, lambda_min
 from .triangulations import catalan
 
 COLLECTION_HOST_LIMIT = 20000
@@ -469,9 +470,11 @@ def certify_collection_bound(
     name: str = "collection-bound",
     stats: CollectionStats | None = None,
 ) -> BoundReport:
-    """Compute the collection bound on g and compare with the exact value.
+    """Compute the collection bound on g and compare with lambda_min(g).
 
     Uses the maximal collection unless ``stats`` supplies a custom one.
+    lambda_min(g) is ``exact_lambda_min``, or ``spectra.lambda_min(g)``
+    when None; the pattern's always comes from ``spectra.lambda_min``.
     """
     if stats is None:
         stats = collection_stats(g, pattern)
@@ -481,13 +484,9 @@ def certify_collection_bound(
     k = pattern.degree
     if k is None:
         raise InvalidInputError("pattern graph must be regular")
-    lam_k = dense_spectrum(pattern).lambda_min
+    lam_k = lambda_min(pattern).value
     bound = collection_bound(d, k, lam_k, stats)
-    exact = (
-        exact_lambda_min
-        if exact_lambda_min is not None
-        else dense_spectrum(g).lambda_min
-    )
+    exact = exact_lambda_min if exact_lambda_min is not None else lambda_min(g).value
     return bound_report(
         name, bound, exact,
         d=d, k=k, lambda_min_pattern=lam_k, m=stats.m, t=stats.t, copies=stats.copy_count,

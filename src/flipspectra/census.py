@@ -77,9 +77,9 @@ def pentagon_count_vertex_oracle(g: Graph, v: int) -> int:
 def pentagon_count_edge_oracle(g: Graph, u: int, v: int) -> int:
     """Exact 5-cycle count through edge uv by simple-path search."""
     _check_census_size(g.vertex_count)
-    if not g.has_edge(u, v):
-        raise InvalidInputError(f"({u},{v}) is not an edge")
     adj = g.adjacency_sets()
+    if not (0 <= u < len(adj) and v in adj[u]):
+        raise InvalidInputError(f"({u},{v}) is not an edge")
     count = 0
     for x in adj[v]:
         if x == u:

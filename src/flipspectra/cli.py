@@ -179,7 +179,7 @@ def cmd_bounds(args) -> int:
                 name="user-collection-bound", stats=stats,
             )
         else:
-            lam_k = spectra.dense_spectrum(pattern).lambda_min
+            lam_k = spectra.lambda_min(pattern).value
             bound = bounds.collection_bound(g.degree, pattern.degree, lam_k, stats)
             report = bounds.bound_report(
                 "user-collection-bound", bound, m=stats.m, t=stats.t, copies=stats.copy_count

@@ -111,7 +111,11 @@ def matvec(g: Graph, x: np.ndarray, a=None) -> np.ndarray:
 
 
 def dense_spectrum(g: Graph) -> Spectrum:
-    """Full symmetric eigendecomposition of the adjacency matrix."""
+    """Every adjacency eigenvalue, from one dense decomposition, with no residual checked.
+
+    It serves ``spectrum --which full`` alone: every eigenvalue the program
+    judges comes from ``lambda_min`` or ``lambda_2``, checked against TOLERANCE.
+    """
     if g.vertex_count > DENSE_LIMIT_DEFAULT:
         raise CapacityError(f"dense spectrum limited to {DENSE_LIMIT_DEFAULT} vertices")
     vals = scipy.linalg.eigvalsh(g.dense_adjacency(), driver="evd")

@@ -48,7 +48,7 @@ def test_public_parameter_totals_only_fall():
     # (self not counted) may fall and must not grow; lower the bounds when they fall
     params = [p for _, fn in public_functions()
               for p in inspect.signature(fn).parameters.values() if p.name != "self"]
-    assert len(params) <= 123
+    assert len(params) <= 121
     assert sum(p.default is not p.empty for p in params) <= 20
 
 
@@ -181,3 +181,12 @@ def test_only_bounds_count_tallies_copies():
              for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
     assert "_count" in names
     assert names.isdisjoint({"_tally", "_SPLIT_PAIRS", "arc_keys"})
+
+
+def test_only_the_full_spectrum_takes_dense_spectrum():
+    # one eigenvalue path for every judgement: bounds and claims take lambda_min from
+    # spectra.lambda_min, checked against its residual; the unchecked full decomposition
+    # serves spectrum --which full alone
+    callers = [caller for caller, callee in calls() if callee.split(".")[-1] == "dense_spectrum"]
+    assert callers == ["cli.cmd_spectrum"]
+    assert "dense_spectrum" not in mentions(ast.parse((SRC / "bounds.py").read_text()))

@@ -30,6 +30,7 @@ from flipspectra.bounds import (
 )
 from flipspectra.errors import InvalidInputError
 from flipspectra.flipgraph import (
+    box_product,
     build_associahedron,
     complete_graph,
     cycle_graph,
@@ -38,7 +39,7 @@ from flipspectra.flipgraph import (
     random_regular_graph,
 )
 from flipspectra.reference import LAMBDA_MIN_TABLE, LIMIT_UPPER_CONSTANT
-from flipspectra.spectra import dense_spectrum
+from flipspectra.spectra import DENSE_LIMIT_DEFAULT, dense_spectrum, lambda_min
 from oracles import cycle_spectrum, odd_cycle_bound, path_graph
 
 
@@ -437,6 +438,18 @@ def test_certify_collection_bound_tight_case():
     rep = certify_collection_bound(build_associahedron(5), cycle_graph(5))
     assert rep.satisfied
     assert abs(rep.bound_value - rep.exact_value) < 1e-9
+
+
+def test_certify_collection_bound_past_the_dense_cap():
+    # A9 box A6 has 6,006 vertices, past the dense solver's cap, and the spectra of a
+    # box product add; both lambda_min values come from spectra.lambda_min
+    a9, a6 = build_associahedron(9), build_associahedron(6)
+    g = box_product(a9, a6)
+    assert g.vertex_count > DENSE_LIMIT_DEFAULT
+    rep = certify_collection_bound(g, cycle_graph(5))
+    assert rep.satisfied
+    assert abs(rep.exact_value - (lambda_min(a9).value + lambda_min(a6).value)) < 1e-9
+    assert rep.parameters["lambda_min_pattern"] == lambda_min(cycle_graph(5)).value
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -168,6 +168,18 @@ def test_pentagon_edge_formula_matches_oracle(n):
         assert c == pentagon_count_edge_oracle(g, u, v)
 
 
+def test_pentagon_edge_oracle_rejects_a_non_edge(monkeypatch):
+    g = cycle_graph(5)
+    assert pentagon_count_edge_oracle(g, 4, 0) == 1
+    for u, v in [(0, 2), (0, 0), (0, 5), (-1, 0), (5, 0)]:
+        with pytest.raises(InvalidInputError, match=rf"^\({u},{v}\) is not an edge$"):
+            pentagon_count_edge_oracle(g, u, v)
+    # the host cap is checked before the edge
+    monkeypatch.setattr(bounds, "COLLECTION_HOST_LIMIT", 4)
+    with pytest.raises(CapacityError, match="^census oracle limited to 4 vertices$"):
+        pentagon_count_edge_oracle(g, 0, 2)
+
+
 @pytest.mark.parametrize("n", range(5, 9))
 def test_pentagon_aggregation_identity(n):
     # every 5-cycle is counted once per each of its 5 vertices

@@ -404,6 +404,23 @@ def test_random_regular_graph_is_simple_for_every_seed(nv, d):
         assert validate_regular(g, d) and g.edge_count == nv * d // 2 and (u != v).all()
 
 
+@pytest.mark.parametrize("seed", [2, 22])
+def test_random_regular_graph_draws_rare_simple_pairings(seed):
+    # under a cap of 2^16 pairings these seeds of (16, 6) gave up
+    g = random_regular_graph(16, 6, seed=seed)
+    u, v = g.arcs()
+    assert validate_regular(g, 6) and g.edge_count == 48 and (u != v).all()
+
+
+def test_random_regular_graph_cap_keeps_every_earlier_draw(monkeypatch):
+    # the batch schedule does not depend on the cap, so a draw that succeeded under
+    # 2^16 returns the same graph; the claim suite draws these
+    now = [random_regular_graph(20, 3, seed=seed).neighbors for seed in range(10)]
+    monkeypatch.setattr(fg, "RANDOM_REGULAR_PAIRINGS", 1 << 16)
+    for seed, neighbors in enumerate(now):
+        assert np.array_equal(random_regular_graph(20, 3, seed=seed).neighbors, neighbors)
+
+
 def test_random_regular_graph_gives_up_on_a_budget(monkeypatch):
     # at 30 vertices of degree 14, about e^-49 of the pairings is simple
     monkeypatch.setattr(fg, "RANDOM_REGULAR_PAIRINGS", 64)
